@@ -18,6 +18,7 @@ import sys
 from repro.bench.pressure_rows import memory_pressure_simulator
 from repro.models.config import paper_deployment
 from repro.obs import Telemetry, generate_report
+from repro.workloads.scenario import run_scenario
 
 SCENARIO = "shared-prefix-chat"
 NUM_REQUESTS = 48
@@ -33,7 +34,7 @@ def main() -> None:
         deployment, capacity_tokens=capacity, prefix_caching=True, preemption=True
     )
     simulator.recorder = telemetry
-    result = simulator.run_scenario(SCENARIO, num_requests=NUM_REQUESTS, seed=SEED)
+    result = run_scenario(SCENARIO, simulator=simulator, num_requests=NUM_REQUESTS, seed=SEED)
     telemetry.finalize()
 
     print(f"{SCENARIO} x{NUM_REQUESTS} @ {capacity} KV tokens ({deployment.model.name})\n")

@@ -16,6 +16,7 @@ from repro.models import paper_deployment
 from repro.serving import PODBackend, SarathiScheduler, ServingSimulator
 from repro.serving.metrics import compute_tenant_metrics, slo_attainment
 from repro.workloads import SCENARIOS, get_scenario, scenario_table
+from repro.workloads.scenario import run_scenario
 
 
 def main(num_requests: int = 24) -> None:
@@ -39,7 +40,7 @@ def main(num_requests: int = 24) -> None:
             scheduler=SarathiScheduler(chunk_size=1024),
             backend=PODBackend(deployment),
         )
-        metrics = simulator.run_scenario(name, num_requests=num_requests, seed=7).metrics
+        metrics = run_scenario(name, simulator=simulator, num_requests=num_requests, seed=7).metrics
         print(
             f"{name:<26} {metrics.requests_per_minute:>8.1f} {metrics.ttft_p50:>8.2f}s "
             f"{metrics.tbt_p99:>7.3f}s {metrics.stall_fraction_200ms:>6.1%}"
@@ -50,7 +51,7 @@ def main(num_requests: int = 24) -> None:
     simulator = ServingSimulator(
         deployment, scheduler=SarathiScheduler(chunk_size=1024), backend=PODBackend(deployment)
     )
-    result = simulator.run_scenario(scenario.name, num_requests=num_requests * 2, seed=7)
+    result = run_scenario(scenario.name, simulator=simulator, num_requests=num_requests * 2, seed=7)
     sliced = compute_tenant_metrics(result.requests, makespan=result.metrics.makespan)
     print(f"Per-tenant SLO attainment ({scenario.name}, {num_requests * 2} requests):")
     header = (

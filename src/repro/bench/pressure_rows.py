@@ -23,6 +23,7 @@ from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.metrics import compute_memory_pressure
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.simulator import ServingSimulator
+from repro.workloads.scenario import run_scenario
 
 #: The sweep's fixed parameters.
 FIG19_NUM_REQUESTS = 48
@@ -81,7 +82,7 @@ def fig19_single_row(
     simulator = memory_pressure_simulator(
         deployment, capacity_tokens, prefix_caching, preemption
     )
-    result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
+    result = run_scenario(scenario, simulator=simulator, num_requests=num_requests, seed=seed)
     pressure = compute_memory_pressure(result.requests, result.kv_stats)
     row: dict[str, Any] = {
         "scenario": scenario,
@@ -116,8 +117,12 @@ def fig19_cluster_row(
             capacity_tokens=capacity_tokens, block_size=16, enable_prefix_caching=True
         ),
     )
-    result = ClusterSimulator(topology, router=router).run_scenario(
-        scenario, num_requests=num_requests, seed=seed, qps=qps
+    result = run_scenario(
+        scenario,
+        simulator=ClusterSimulator(topology, router=router),
+        num_requests=num_requests,
+        seed=seed,
+        qps=qps,
     )
     pressure = compute_memory_pressure(result.requests, result.kv_stats)
     row: dict[str, Any] = {

@@ -105,12 +105,6 @@ class ClusterMetrics:
         return max(r.utilization for r in self.replicas)
 
     @property
-    def utilization_imbalance(self) -> float:
-        """Max/mean replica utilization (1.0 = perfectly balanced fleet)."""
-        mean = self.mean_utilization
-        return self.max_utilization / mean if mean > 0 else 0.0
-
-    @property
     def mean_kv_transfer_time(self) -> float:
         if self.num_kv_transfers == 0:
             return 0.0
@@ -252,50 +246,3 @@ def compute_cluster_metrics(
         total_tokens=total_tokens,
         fleet_cost_per_hour=sum(costs.values()),
     )
-
-
-def goodput_per_dollar(
-    requests: Sequence[Request],
-    slos: Mapping[str, Any],
-    cost_usd: float,
-) -> dict[str, dict[str, float]]:
-    """Per-SLO-tier goodput-per-dollar for one priced cluster run.
-
-    ``slos`` maps tenant → SLO class (a :func:`repro.workloads.tenants.slo_targets`
-    dict).  For each distinct tier the offered-traffic attainment
-    (:func:`repro.serving.metrics.slo_attainment`) is evaluated over that
-    tier's slice, and the attained request count is divided by the slice's
-    cost share (dollars prorated by offered requests).  Returns
-    ``{tier: {"offered", "attainment", "attained", "cost_usd",
-    "attained_per_usd"}}``; untagged requests and tenants without an SLO are
-    skipped.
-    """
-    from repro.serving.metrics import slo_attainment
-
-    tiers: dict[str, list[Request]] = {}
-    tier_targets: dict[str, Any] = {}
-    for request in requests:
-        slo = slos.get(request.tenant) if request.tenant else None
-        if slo is None:
-            continue
-        name = getattr(slo, "name", str(slo))
-        tiers.setdefault(name, []).append(request)
-        tier_targets[name] = slo
-    total_offered = sum(len(slice_) for slice_ in tiers.values())
-    out: dict[str, dict[str, float]] = {}
-    for name in sorted(tiers):
-        slice_ = tiers[name]
-        slo = tier_targets[name]
-        attainment = slo_attainment(
-            slice_, ttft_target_s=slo.ttft_target_s, tbt_target_s=slo.tbt_target_s
-        )
-        attained = attainment * len(slice_)
-        share = cost_usd * len(slice_) / total_offered if total_offered else 0.0
-        out[name] = {
-            "offered": float(len(slice_)),
-            "attainment": attainment,
-            "attained": attained,
-            "cost_usd": share,
-            "attained_per_usd": attained / share if share > 0 else 0.0,
-        }
-    return out

@@ -1,25 +1,32 @@
 """Cluster simulator: N replica runtimes interleaved under one global clock.
 
-The simulator is an event loop over three event sources — external arrivals,
-KV-transfer completions (disaggregated only) and replica iterations — always
-advancing whichever is earliest:
+:meth:`ClusterSimulator.run` is a dispatch loop over one event queue, a heap
+of ``(time, kind, key, payload)`` entries of three kinds, each with its own
+handler:
 
-1. If the next arrival (or transfer delivery) is due no later than any
-   replica's next iteration, it is routed and enqueued first, so routing
-   decisions see replica load *as of the arrival time*.
-2. Otherwise the replica with the earliest local clock executes one iteration
-   via :meth:`ReplicaRuntime.step`; any requests it releases either complete
-   (colocated, or decode pool) or spawn a KV transfer to the decode pool
-   (disaggregated prefill pool).
+* ``ARRIVAL`` — the next external request (``key`` is its rank in
+  ``(arrival_time, request_id)`` order; only the next one is queued).  The
+  control plane applies first (autoscale, drain/retire, shed), then the
+  request is routed on the replicas' incremental load counters — O(1) per
+  replica — and enqueued.
+* ``TRANSFER_READY`` — a KV transfer reaching the decode pool (disaggregated
+  only; ``key`` is the transfer's sequence number).  The request is routed to
+  a decode replica and enqueued there.
+* ``REPLICA_READY`` — a replica able to run its next iteration (``key`` is
+  the replica id).  It executes one :meth:`ReplicaRuntime.step`; released
+  requests either complete (colocated, or decode pool) or spawn a KV transfer
+  (disaggregated prefill pool).
 
-Both hot-path decisions are cheap at fleet scale: the earliest replica comes
-from a ``(next_ready_time, replica_id)`` heap with lazy invalidation (stale
-entries are discarded or refreshed on peek), so each event's replica pick is
-O(log R); and routing loads are read from the replicas' incremental counters
-— O(1) per replica, O(R) per arrival — rather than rescanning every
-outstanding request in the pool.  ``debug_validate_loads=True`` restores the
-reference scans and cross-checks them (sampled) against the counters via the
-load-accounting invariant.
+At equal times an arrival goes before a transfer and a transfer before a
+replica step, so routers see replica load *as of the event time*; equal-time
+steps go in replica-id order.  These are the rules the stateful
+``ClusterInterleavingMachine`` checks.
+
+Invalidation is eager: a replica has at most one live ``REPLICA_READY``
+entry, replaced only when its ``next_ready_time()`` moves — after an enqueue
+and after a step, the only operations that move it.  A replaced entry is
+dropped unread when popped, so a replica step costs one readiness query and
+O(log R) heap work.
 
 With one replica and any router this degenerates to exactly the
 ``ServingSimulator`` loop — the validation test pins that equivalence — which
@@ -40,10 +47,8 @@ from repro.serving.kv_cache import KVCacheStats
 from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request, RequestState
 
-
-#: With ``debug_validate_loads``, every Nth load snapshot (plus the first) is
-#: cross-checked against the incremental counters.
-_LOAD_VALIDATE_EVERY = 64
+#: Event kinds, numbered in their equal-time priority order.
+ARRIVAL, TRANSFER_READY, REPLICA_READY = 0, 1, 2
 
 
 @dataclass
@@ -69,6 +74,56 @@ class ClusterResult:
         return self.metrics.fleet.requests_per_minute
 
 
+@dataclass
+class _FleetRun:
+    """Everything one :meth:`ClusterSimulator.run` mutates besides the replicas.
+
+    The control-plane fields stay inert without a control plane.  Warming
+    replicas have been provisioned but are still cold-starting (no traffic
+    yet); draining replicas take no new routes and retire when their last
+    request finishes.  ``activated_at`` / ``deactivated_at`` are the
+    provisioning ledger replica-seconds are billed from.
+    """
+
+    arrivals: list[Request]
+    entry_indices: list[int]
+    decode_indices: list[int]
+    #: Replica id -> its live REPLICA_READY entry (None while drained).
+    ready: list[tuple | None]
+    live: set[int]
+    activated_at: dict[int, float]
+    peak_replicas: int
+    queue: list[tuple] = field(default_factory=list)
+    assignments: dict[int, int] = field(default_factory=dict)
+    decode_assignments: dict[int, int] = field(default_factory=dict)
+    num_transfers: int = 0
+    total_transfer_time: float = 0.0
+    warming: dict[int, float] = field(default_factory=dict)  # index -> cold-start end
+    draining: set[int] = field(default_factory=set)
+    deactivated_at: dict[int, float] = field(default_factory=dict)
+    num_scale_ups: int = 0
+    num_scale_downs: int = 0
+
+    def push_arrival(self, rank: int) -> None:
+        if rank < len(self.arrivals):
+            heapq.heappush(self.queue, (self.arrivals[rank].arrival_time, ARRIVAL, rank, None))
+
+    def push_transfer(self, ready_time: float, request: Request) -> None:
+        self.num_transfers += 1  # doubles as the FIFO sequence number
+        heapq.heappush(self.queue, (ready_time, TRANSFER_READY, self.num_transfers, request))
+
+    def reschedule(self, replica: ReplicaRuntime) -> None:
+        """Replace ``replica``'s live ready entry if its next ready time moved."""
+        index = replica.replica_id
+        ready = replica.next_ready_time()
+        live = self.ready[index]
+        if ready != (None if live is None else live[0]):
+            entry = None if ready is None else (ready, REPLICA_READY, index, None)
+            self.ready[index] = entry
+            if entry is not None:
+                heapq.heappush(self.queue, entry)
+
+
 class ClusterSimulator:
     """Drives a topology's replica fleet over a shared arrival trace.
 
@@ -85,10 +140,6 @@ class ClusterSimulator:
             the *latest* run's events: ``run()`` clears it on entry, just as
             it rebuilds a used fleet (keep per-run recorders and
             ``merge_events`` to retain multiple streams).
-        debug_validate_loads: Route on full outstanding-request scans instead
-            of the incremental counters, cross-checking the two (sampled every
-            ``_LOAD_VALIDATE_EVERY`` snapshots) and raising on any drift.
-            Debug aid only — it reintroduces the quadratic routing cost.
         control: Optional :class:`repro.cluster.control.ControlPlane`
             (colocated topologies only).  Adds autoscaling (replicas join
             after a cold start, leave by draining) and admission control
@@ -103,7 +154,6 @@ class ClusterSimulator:
         decode_router: str | RouterPolicy | None = None,
         keep_iteration_log: bool = False,
         recorder=None,
-        debug_validate_loads: bool = False,
         control=None,
     ) -> None:
         self.topology = topology
@@ -120,8 +170,6 @@ class ClusterSimulator:
 
             recorder = as_sink(recorder)
         self.recorder = recorder
-        self.debug_validate_loads = debug_validate_loads
-        self._load_snapshots = 0
         self.replicas = topology.build_replicas(
             keep_iteration_log=keep_iteration_log, recorder=recorder
         )
@@ -174,8 +222,6 @@ class ClusterSimulator:
             # State-oblivious policies (round-robin) only need the pool size;
             # skip the load snapshot entirely.
             return [ReplicaLoad.zero(index) for index in indices]
-        if self.debug_validate_loads:
-            return self._scanned_loads(indices)
         loads = []
         for index in indices:
             replica = self.replicas[index]
@@ -192,38 +238,6 @@ class ClusterSimulator:
             )
         return loads
 
-    def _scanned_loads(self, indices: list[int]) -> list[ReplicaLoad]:
-        """Debug path: full outstanding-request scans, cross-checked (sampled)
-        against the incremental counters via the load-accounting invariant."""
-        self._load_snapshots += 1
-        if self._load_snapshots % _LOAD_VALIDATE_EVERY == 1:
-            # Local import: repro.verify imports repro.cluster (oracles).
-            from repro.verify.invariants import (
-                InvariantViolationError,
-                check_replica_load_counters,
-            )
-
-            violations = check_replica_load_counters(
-                self.replicas[index] for index in indices
-            )
-            if violations:
-                raise InvariantViolationError(violations)
-        loads = []
-        for index in indices:
-            num, tokens, prefill_tokens = self.replicas[index].scan_load()
-            cost, perf = self._replica_economics(index)
-            loads.append(
-                ReplicaLoad(
-                    replica_id=index,
-                    num_requests=num,
-                    outstanding_tokens=tokens,
-                    outstanding_prefill_tokens=prefill_tokens,
-                    cost_per_hour=cost,
-                    perf_weight=perf,
-                )
-            )
-        return loads
-
     # --------------------------------------------------------------- run
 
     def run(self, requests: list[Request]) -> ClusterResult:
@@ -234,6 +248,23 @@ class ClusterSimulator:
         """
         if not requests:
             raise ValueError("run() requires at least one request")
+        requests = [request.fresh_copy() for request in requests]
+        run = self._start_run(requests)
+        handlers = (self._on_arrival, self._on_transfer_ready, self._on_replica_ready)
+        queue = run.queue
+        while queue:
+            entry = heapq.heappop(queue)
+            handlers[entry[1]](run, entry)
+        unfinished = [r for r in requests if not r.is_terminal]
+        if unfinished:
+            raise RuntimeError(
+                f"cluster drained with {len(unfinished)} unfinished requests "
+                f"(first: {unfinished[0].request_id})"
+            )
+        return self._result(run, requests)
+
+    def _start_run(self, requests: list[Request]) -> _FleetRun:
+        """Reset the fleet, routers and control plane; queue the first arrival."""
         if self.recorder is not None:
             # The recorder describes one run; stale events from a previous
             # trace would read as duplicate lifecycles to the invariant checker.
@@ -250,271 +281,195 @@ class ClusterSimulator:
             )
         self.router.reset()
         self.decode_router.reset()
-        self._load_snapshots = 0
         self._economics.clear()
-        requests = [request.fresh_copy() for request in requests]
-        arrivals = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-        arrival_index = 0
-        transfers: list[tuple[float, int, Request]] = []  # (ready_time, seq, request) heap
-        transfer_seq = 0
-        num_transfers = 0
-        total_transfer_time = 0.0
-        assignments: dict[int, int] = {}
-        decode_assignments: dict[int, int] = {}
+        if self.control is not None:
+            self.control.reset()
         entry_indices = self.topology.entry_indices
-        decode_indices = self.topology.decode_indices
-        disaggregated = self.topology.kind == "disaggregated"
+        run = _FleetRun(
+            arrivals=sorted(requests, key=lambda r: (r.arrival_time, r.request_id)),
+            entry_indices=entry_indices,
+            decode_indices=self.topology.decode_indices,
+            ready=[None] * len(self.replicas),
+            live=set(entry_indices),
+            activated_at=dict.fromkeys(entry_indices, 0.0),
+            peak_replicas=len(entry_indices),
+        )
+        run.push_arrival(0)
+        return run
 
-        # Control-plane fleet state: replica index sets plus the provisioning
-        # ledger replica-seconds are billed from.  Warming replicas have been
-        # provisioned but are still cold-starting (no traffic yet); draining
-        # replicas take no new routes and retire when their last request
-        # finishes.  All of it is inert when ``control`` is None.
+    # ----------------------------------------------------------- handlers
+
+    def _on_arrival(self, run: _FleetRun, entry: tuple) -> None:
+        rank = entry[2]
+        request = run.arrivals[rank]
+        run.push_arrival(rank + 1)
+        candidates = run.entry_indices
+        if self.control is not None:
+            candidates = self._apply_control(run, request)
+            if candidates is None:
+                return  # shed by admission control
+        loads = self._loads(candidates, self.router)
+        choice = self.router.choose(loads, request)
+        target = candidates[choice]
+        if self.recorder is not None:
+            self.recorder.emit(
+                "routed",
+                time=request.arrival_time,
+                replica_id=target,
+                request_id=request.request_id,
+                router=self.router.name,
+                load_requests=loads[choice].num_requests,
+                load_tokens=loads[choice].outstanding_tokens,
+                load_prefill_tokens=loads[choice].outstanding_prefill_tokens,
+                cost_per_hour=loads[choice].cost_per_hour,
+            )
+        replica = self.replicas[target]
+        replica.enqueue(request)
+        run.assignments[request.request_id] = target
+        run.reschedule(replica)
+
+    def _on_transfer_ready(self, run: _FleetRun, entry: tuple) -> None:
+        ready_time, _, _, request = entry
+        loads = self._loads(run.decode_indices, self.decode_router)
+        target = run.decode_indices[self.decode_router.choose(loads, request)]
+        if self.recorder is not None:
+            self.recorder.emit(
+                "transfer_delivered",
+                time=ready_time,
+                replica_id=target,
+                request_id=request.request_id,
+            )
+        replica = self.replicas[target]
+        replica.enqueue(request, ready_time=ready_time)
+        run.decode_assignments[request.request_id] = target
+        run.reschedule(replica)
+
+    def _on_replica_ready(self, run: _FleetRun, entry: tuple) -> None:
+        index = entry[2]
+        if entry is not run.ready[index]:
+            return  # superseded by a reschedule
+        run.ready[index] = None
+        replica = self.replicas[index]
+        outcome = replica.step()
+        if self.control is not None:
+            for released in outcome.released:
+                self.control.note_release(released)
+            if index in run.draining and replica.is_drained:
+                # Connection draining complete: the replica leaves the fleet
+                # at its local clock (its last iteration's end).
+                run.draining.remove(index)
+                self._retire(run, index, replica.clock)
+        if index in self._prefill_ids:
+            for request in outcome.released:
+                if request.state == RequestState.FINISHED:
+                    continue  # single-token outputs finish in the prefill pool
+                delay = self.topology.transfer.transfer_time(
+                    replica.deployment, request.context_tokens
+                )
+                run.total_transfer_time += delay
+                if self.recorder is not None:
+                    self.recorder.emit(
+                        "transfer_start",
+                        time=replica.clock,
+                        replica_id=index,
+                        request_id=request.request_id,
+                        delay=delay,
+                        context_tokens=request.context_tokens,
+                    )
+                run.push_transfer(replica.clock + delay, request)
+        run.reschedule(replica)
+
+    # ------------------------------------------------------ control plane
+
+    def _apply_control(self, run: _FleetRun, request: Request) -> list[int] | None:
+        """Scale and admit at ``request``'s arrival.
+
+        Promotes warmed replicas, applies the autoscaler's decision, then
+        asks admission control.  Returns the routable replicas, or ``None``
+        when the request was shed (it is then ``REJECTED``).
+        """
         control = self.control
-        live: set[int] = set(entry_indices)
-        warming: dict[int, float] = {}  # replica index -> cold-start end
-        draining: set[int] = set()
-        retired: set[int] = set()
-        activated_at: dict[int, float] = dict.fromkeys(live, 0.0)
-        deactivated_at: dict[int, float] = {}
-        num_scale_ups = 0
-        num_scale_downs = 0
-        peak_replicas = len(live)
-        if control is not None:
-            control.reset()
-
-        # Ready-time heap over the fleet: each entry is a snapshot of one
-        # replica's next_ready_time.  Entries go stale when the replica steps
-        # or receives work; they are lazily discarded/refreshed on peek, so
-        # picking the next replica is O(log R) instead of a linear scan.
-        ready_heap: list[tuple[float, int]] = []
-
-        def push_ready(replica: ReplicaRuntime) -> None:
-            ready = replica.next_ready_time()
-            if ready is not None:
-                heapq.heappush(ready_heap, (ready, replica.replica_id))
-
-        while True:
-            next_step_time = None
-            next_replica_id = -1
-            while ready_heap:
-                ready, replica_id = ready_heap[0]
-                actual = self.replicas[replica_id].next_ready_time()
-                if actual is None:
-                    heapq.heappop(ready_heap)  # replica drained since the push
-                elif actual != ready:
-                    heapq.heapreplace(ready_heap, (actual, replica_id))
-                else:
-                    next_step_time = ready
-                    next_replica_id = replica_id
-                    break
-
-            next_arrival = (
-                arrivals[arrival_index].arrival_time if arrival_index < len(arrivals) else None
+        now = request.arrival_time
+        for index in [i for i, at in run.warming.items() if at <= now]:
+            del run.warming[index]
+            run.live.add(index)
+        outstanding = sum(self.replicas[i].load_num_requests for i in run.live)
+        decision = control.autoscale(now, len(run.live), len(run.warming), outstanding)
+        if decision > 0:
+            self._scale_up(run, now, decision)
+        elif decision < 0:
+            self._start_drains(run, now, -decision)
+        reason = control.admit(request, now, len(run.live), outstanding)
+        if reason is None:
+            return sorted(run.live)
+        if self.recorder is not None:
+            self.recorder.emit(
+                "rejected",
+                time=now,
+                request_id=request.request_id,
+                reason=reason,
+                tenant=request.tenant or "default",
+                tier=control.tier_of(request.tenant),
             )
-            next_transfer = transfers[0][0] if transfers else None
+        request.reject(now)
+        return None
 
-            # Deliver the earliest due arrival/transfer before stepping any
-            # replica, so routers see load as of the event time.
-            deliver_arrival = next_arrival is not None and (
-                next_transfer is None or next_arrival <= next_transfer
+    def _scale_up(self, run: _FleetRun, now: float, count: int) -> None:
+        ready_at = now + self.control.autoscaler.cold_start_s
+        for _ in range(count):
+            index = len(self.replicas)
+            self.replicas.append(
+                self.topology.build_replica(
+                    index, keep_iteration_log=self.keep_iteration_log, recorder=self.recorder
+                )
             )
-            deliver_time = next_arrival if deliver_arrival else next_transfer
-            if deliver_time is not None and (
-                next_step_time is None or deliver_time <= next_step_time
-            ):
-                if deliver_arrival:
-                    request = arrivals[arrival_index]
-                    arrival_index += 1
-                    candidates = entry_indices
-                    if control is not None:
-                        now = request.arrival_time
-                        # Promote warming replicas whose cold start completed.
-                        for index in [i for i, at in warming.items() if at <= now]:
-                            del warming[index]
-                            live.add(index)
-                        outstanding = sum(
-                            self.replicas[i].load_num_requests for i in live
-                        )
-                        decision = control.autoscale(
-                            now, len(live), len(warming), outstanding
-                        )
-                        if decision > 0:
-                            for _ in range(decision):
-                                index = len(self.replicas)
-                                self.replicas.append(
-                                    self.topology.build_replica(
-                                        index,
-                                        keep_iteration_log=self.keep_iteration_log,
-                                        recorder=self.recorder,
-                                    )
-                                )
-                                ready_at = now + control.autoscaler.cold_start_s
-                                if self.recorder is not None:
-                                    self.recorder.emit(
-                                        "scaled_up",
-                                        time=now,
-                                        replica_id=index,
-                                        ready_at=ready_at,
-                                    )
-                                activated_at[index] = now
-                                num_scale_ups += 1
-                                if ready_at <= now:
-                                    live.add(index)
-                                else:
-                                    warming[index] = ready_at
-                            # New backends adopt the fleet's warmed memo.
-                            share_estimate_caches(
-                                replica.backend for replica in self.replicas
-                            )
-                            peak_replicas = max(
-                                peak_replicas, len(live) + len(warming)
-                            )
-                        elif decision < 0:
-                            for _ in range(-decision):
-                                victim = min(
-                                    live,
-                                    key=lambda i: (
-                                        self.replicas[i].load_num_requests,
-                                        i,
-                                    ),
-                                )
-                                live.remove(victim)
-                                num_scale_downs += 1
-                                if self.recorder is not None:
-                                    self.recorder.emit(
-                                        "drain_started",
-                                        time=now,
-                                        replica_id=victim,
-                                    )
-                                if self.replicas[victim].is_drained:
-                                    # Nothing outstanding: retires on the spot.
-                                    retired.add(victim)
-                                    end = max(now, self.replicas[victim].clock)
-                                    deactivated_at[victim] = end
-                                    if self.recorder is not None:
-                                        self.recorder.emit(
-                                            "scaled_down",
-                                            time=end,
-                                            replica_id=victim,
-                                        )
-                                else:
-                                    draining.add(victim)
-                        reason = control.admit(
-                            request, now, len(live), outstanding
-                        )
-                        if reason is not None:
-                            if self.recorder is not None:
-                                self.recorder.emit(
-                                    "rejected",
-                                    time=now,
-                                    request_id=request.request_id,
-                                    reason=reason,
-                                    tenant=request.tenant or "default",
-                                    tier=control.tier_of(request.tenant),
-                                )
-                            request.reject(now)
-                            continue
-                        candidates = sorted(live)
-                    loads = self._loads(candidates, self.router)
-                    choice = self.router.choose(loads, request)
-                    target = candidates[choice]
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "routed",
-                            time=request.arrival_time,
-                            replica_id=target,
-                            request_id=request.request_id,
-                            router=self.router.name,
-                            load_requests=loads[choice].num_requests,
-                            load_tokens=loads[choice].outstanding_tokens,
-                            load_prefill_tokens=loads[choice].outstanding_prefill_tokens,
-                            cost_per_hour=loads[choice].cost_per_hour,
-                        )
-                    self.replicas[target].enqueue(request)
-                    assignments[request.request_id] = target
-                    push_ready(self.replicas[target])
-                else:
-                    ready_time, _, request = heapq.heappop(transfers)
-                    choice = self.decode_router.choose(
-                        self._loads(decode_indices, self.decode_router), request
-                    )
-                    target = decode_indices[choice]
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "transfer_delivered",
-                            time=ready_time,
-                            replica_id=target,
-                            request_id=request.request_id,
-                        )
-                    self.replicas[target].enqueue(request, ready_time=ready_time)
-                    decode_assignments[request.request_id] = target
-                    push_ready(self.replicas[target])
-                continue
+            run.ready.append(None)
+            if self.recorder is not None:
+                self.recorder.emit("scaled_up", time=now, replica_id=index, ready_at=ready_at)
+            run.activated_at[index] = now
+            run.num_scale_ups += 1
+            if ready_at <= now:
+                run.live.add(index)
+            else:
+                run.warming[index] = ready_at
+        # New backends adopt the fleet's warmed memo.
+        share_estimate_caches(replica.backend for replica in self.replicas)
+        run.peak_replicas = max(run.peak_replicas, len(run.live) + len(run.warming))
 
-            if next_replica_id < 0:
-                break  # every queue is drained
-            heapq.heappop(ready_heap)  # the entry validated above
-            next_replica = self.replicas[next_replica_id]
-            outcome = next_replica.step()
-            if control is not None:
-                for released in outcome.released:
-                    control.note_release(released)
-                if next_replica_id in draining and next_replica.is_drained:
-                    # Connection draining complete: the replica leaves the
-                    # fleet at its local clock (its last iteration's end).
-                    draining.remove(next_replica_id)
-                    retired.add(next_replica_id)
-                    deactivated_at[next_replica_id] = next_replica.clock
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "scaled_down",
-                            time=next_replica.clock,
-                            replica_id=next_replica_id,
-                        )
-            if disaggregated and next_replica.replica_id in self._prefill_ids:
-                for request in outcome.released:
-                    if request.state == RequestState.FINISHED:
-                        continue  # single-token outputs finish in the prefill pool
-                    delay = self.topology.transfer.transfer_time(
-                        next_replica.deployment, request.context_tokens
-                    )
-                    num_transfers += 1
-                    total_transfer_time += delay
-                    transfer_seq += 1
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "transfer_start",
-                            time=next_replica.clock,
-                            replica_id=next_replica.replica_id,
-                            request_id=request.request_id,
-                            delay=delay,
-                            context_tokens=request.context_tokens,
-                        )
-                    heapq.heappush(
-                        transfers, (next_replica.clock + delay, transfer_seq, request)
-                    )
-            push_ready(next_replica)
+    def _start_drains(self, run: _FleetRun, now: float, count: int) -> None:
+        for _ in range(count):
+            victim = min(run.live, key=lambda i: (self.replicas[i].load_num_requests, i))
+            run.live.remove(victim)
+            run.num_scale_downs += 1
+            if self.recorder is not None:
+                self.recorder.emit("drain_started", time=now, replica_id=victim)
+            replica = self.replicas[victim]
+            if replica.is_drained:
+                # Nothing outstanding: retires on the spot.
+                self._retire(run, victim, max(now, replica.clock))
+            else:
+                run.draining.add(victim)
 
-        unfinished = [r for r in requests if not r.is_terminal]
-        if unfinished:
-            raise RuntimeError(
-                f"cluster drained with {len(unfinished)} unfinished requests "
-                f"(first: {unfinished[0].request_id})"
-            )
+    def _retire(self, run: _FleetRun, index: int, end: float) -> None:
+        run.deactivated_at[index] = end
+        if self.recorder is not None:
+            self.recorder.emit("scaled_down", time=end, replica_id=index)
 
+    # ------------------------------------------------------------ result
+
+    def _result(self, run: _FleetRun, requests: list[Request]) -> ClusterResult:
         makespan = max(replica.clock for replica in self.replicas)
         replica_seconds = None
         replica_active_seconds: dict[int, float] | None = None
-        if control is not None:
+        if self.control is not None:
             # Provisioning cost ledger: every replica is billed from its
             # activation (t=0 for the initial fleet, the scale-up decision for
             # grown replicas — cold starts are paid for) until it retires or,
             # if still serving, the run ends.  The same ledger prices each
             # replica individually for the dollar accounting.
             replica_active_seconds = {
-                index: max(0.0, deactivated_at.get(index, makespan) - start)
-                for index, start in activated_at.items()
+                index: max(0.0, run.deactivated_at.get(index, makespan) - start)
+                for index, start in run.activated_at.items()
             }
             replica_seconds = sum(replica_active_seconds.values())
         replica_costs = {
@@ -527,12 +482,12 @@ class ClusterSimulator:
             makespan=makespan,
             topology=self.topology.kind,
             router=self.router.name,
-            num_kv_transfers=num_transfers,
-            total_kv_transfer_time=total_transfer_time,
+            num_kv_transfers=run.num_transfers,
+            total_kv_transfer_time=run.total_transfer_time,
             replica_seconds=replica_seconds,
-            num_scale_ups=num_scale_ups,
-            num_scale_downs=num_scale_downs,
-            peak_replicas=peak_replicas if control is not None else None,
+            num_scale_ups=run.num_scale_ups,
+            num_scale_downs=run.num_scale_downs,
+            peak_replicas=run.peak_replicas if self.control is not None else None,
             replica_costs=replica_costs,
             replica_active_seconds=replica_active_seconds,
         )
@@ -542,34 +497,7 @@ class ClusterSimulator:
         return ClusterResult(
             metrics=metrics,
             requests=requests,
-            assignments=assignments,
-            decode_assignments=decode_assignments,
+            assignments=run.assignments,
+            decode_assignments=run.decode_assignments,
             kv_stats=kv_stats,
-        )
-
-    def run_scenario(
-        self,
-        name: str,
-        num_requests: int | None = None,
-        seed: int = 0,
-        qps: float | None = None,
-        overrides=None,
-    ) -> ClusterResult:
-        """Build a registered workload scenario and serve it across the fleet.
-
-        Thin delegate to :func:`repro.workloads.scenario.run_scenario` (the
-        shared entry point) with this simulator's fleet governing; pass
-        ``qps`` scaled to the fleet size to keep per-replica pressure
-        constant, and ``overrides`` to replace scenario fields before the
-        trace is built.
-        """
-        from repro.workloads.scenario import run_scenario
-
-        return run_scenario(
-            name,
-            simulator=self,
-            num_requests=num_requests,
-            seed=seed,
-            qps=qps,
-            overrides=overrides,
         )

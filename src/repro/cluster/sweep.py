@@ -44,9 +44,6 @@ class ClusterSweepPoint:
     kv_link_latency: float | None = None  # None = KVTransferModel default
     backend: str = "pod"
     seed: int = 0
-    #: Route on reference scans cross-checked against the incremental load
-    #: counters (slow; meant for debugging and validation sweeps).
-    debug_validate_loads: bool = False
 
     def __post_init__(self) -> None:
         check_positive("num_replicas", self.num_replicas)
@@ -100,9 +97,7 @@ def run_sweep_point(point: ClusterSweepPoint) -> dict[str, Any]:
         transfer=KVTransferModel(**transfer_kwargs),
     )
     topology = topology_from_spec(spec, chunk_size=point.chunk_size, backend=point.backend)
-    simulator = ClusterSimulator(
-        topology, router=point.router, debug_validate_loads=point.debug_validate_loads
-    )
+    simulator = ClusterSimulator(topology, router=point.router)
     result = simulator.run(requests)
     row: dict[str, Any] = {
         "model": point.model,

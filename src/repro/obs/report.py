@@ -325,45 +325,6 @@ def scenario_telemetry(
     return telemetry, summary
 
 
-def run_scenario_with_telemetry(
-    scenario: str,
-    num_requests: int | None = None,
-    seed: int = 0,
-    qps: float | None = None,
-    replicas: int = 1,
-    router: str = "prefix-affinity",
-    capacity_tokens: int | None = None,
-    sample_interval: float = 0.5,
-    model: str = "llama-3-8b",
-) -> tuple[Telemetry, dict[str, Any]]:
-    """Deprecated alias of :func:`scenario_telemetry`.
-
-    The scenario entry points were unified behind
-    :func:`repro.workloads.scenario.run_scenario`; this wrapper survives one
-    release for callers of the old name.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_scenario_with_telemetry() is deprecated; use "
-        "repro.obs.report.scenario_telemetry() or "
-        "repro.workloads.scenario.run_scenario(recorder=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scenario_telemetry(
-        scenario,
-        num_requests=num_requests,
-        seed=seed,
-        qps=qps,
-        replicas=replicas,
-        router=router,
-        capacity_tokens=capacity_tokens,
-        sample_interval=sample_interval,
-        model=model,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",

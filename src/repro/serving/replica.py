@@ -102,7 +102,7 @@ class ReplicaRuntime:
         self.role = role
         if recorder is not None:
             # Lazy import: repro.verify imports the cluster layer, which
-            # imports this module (same cycle dance as _scanned_loads).
+            # imports this module (same cycle dance as ClusterSimulator).
             from repro.verify.events import as_sink
 
             recorder = as_sink(recorder)
@@ -222,11 +222,6 @@ class ReplicaRuntime:
     def num_pending(self) -> int:
         return len(self._pending) - self._cursor
 
-    @property
-    def num_outstanding(self) -> int:
-        """Requests this replica has accepted but not yet released."""
-        return self.num_pending + len(self.waiting) + len(self.running)
-
     def outstanding_requests(self) -> Iterator[Request]:
         """Iterate every request accepted but not yet released (any order)."""
         for i in range(self._cursor, len(self._pending)):
@@ -238,8 +233,8 @@ class ReplicaRuntime:
         """Recompute ``(num_requests, total_tokens, prefill_tokens)`` by scan.
 
         O(outstanding) reference implementation of the incremental
-        ``load_*`` counters, kept for the cluster debug path and the
-        load-accounting invariant (``repro.verify.invariants``).
+        ``load_*`` counters, kept for the load-accounting invariant
+        (``repro.verify.invariants``).
         """
         num = tokens = prefill_tokens = 0
         for request in self.outstanding_requests():

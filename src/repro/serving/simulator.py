@@ -114,32 +114,6 @@ class ServingSimulator:
             kv_stats=runtime.kv_cache.stats,
         )
 
-    def run_scenario(
-        self,
-        name: str,
-        num_requests: int | None = None,
-        seed: int = 0,
-        qps: float | None = None,
-        overrides=None,
-    ) -> SimulationResult:
-        """Build a registered workload scenario and serve it.
-
-        Thin delegate to :func:`repro.workloads.scenario.run_scenario` (the
-        shared entry point) with this simulator's configuration governing;
-        ``num_requests`` / ``qps`` default to the scenario's own settings and
-        ``overrides`` replaces scenario fields before the trace is built.
-        """
-        from repro.workloads.scenario import run_scenario
-
-        return run_scenario(
-            name,
-            simulator=self,
-            num_requests=num_requests,
-            seed=seed,
-            qps=qps,
-            overrides=overrides,
-        )
-
 
 def simulate_offline(
     deployment: Deployment,

@@ -650,8 +650,8 @@ def check_replica_load_counters(replicas: Iterable[Any]) -> list[Violation]:
     :class:`repro.serving.replica.ReplicaRuntime` maintains at enqueue, chunk
     execution and release; this invariant recomputes the load by scanning
     ``outstanding_requests()`` (``scan_load``) and flags any drift.  Accepts
-    any iterable of runtimes, so both the cluster debug path and tests can
-    sample it mid-run.
+    any iterable of runtimes, so tests can sample it mid-run (e.g. at every
+    routing decision).
     """
     violations: list[Violation] = []
     for replica in replicas:

@@ -49,7 +49,7 @@ from repro.serving.scheduler_vllm import VLLMScheduler
 from repro.serving.simulator import ServingSimulator
 from repro.verify.events import CHUNK_EXECUTED, EventRecorder
 from repro.verify.invariants import check_event_log
-from repro.workloads.scenario import SCENARIOS
+from repro.workloads.scenario import SCENARIOS, run_scenario
 
 #: Router policies a 1-replica cluster must reduce under (all of them).
 REDUCIBLE_ROUTERS = (
@@ -112,11 +112,16 @@ def single_replica_equivalence(
     must agree on every per-request timestamp and every metric field exactly.
     """
     label = f"{scenario}/{router}"
-    single = ServingSimulator(
-        deployment,
-        scheduler=SarathiScheduler(chunk_size=chunk_size),
-        backend=get_backend(backend, deployment),
-    ).run_scenario(scenario, num_requests=num_requests, seed=seed)
+    single = run_scenario(
+        scenario,
+        simulator=ServingSimulator(
+            deployment,
+            scheduler=SarathiScheduler(chunk_size=chunk_size),
+            backend=get_backend(backend, deployment),
+        ),
+        num_requests=num_requests,
+        seed=seed,
+    )
 
     topology = ColocatedTopology(
         deployment,
@@ -124,8 +129,11 @@ def single_replica_equivalence(
         scheduler_factory=lambda: SarathiScheduler(chunk_size=chunk_size),
         backend_factory=lambda: get_backend(backend, deployment),
     )
-    cluster = ClusterSimulator(topology, router=router).run_scenario(
-        scenario, num_requests=num_requests, seed=seed
+    cluster = run_scenario(
+        scenario,
+        simulator=ClusterSimulator(topology, router=router),
+        num_requests=num_requests,
+        seed=seed,
     )
 
     discrepancies = _compare_requests(label, single.requests, cluster.requests)
@@ -188,7 +196,9 @@ def scheduler_conservation(
             backend=PODBackend(deployment),
             recorder=recorder,
         )
-        result = simulator.run_scenario(scenario, num_requests=num_requests, seed=seed)
+        result = run_scenario(
+            scenario, simulator=simulator, num_requests=num_requests, seed=seed
+        )
         for violation in check_event_log(recorder):
             discrepancies.append(f"{name}: {violation}")
         unfinished = [r.request_id for r in result.requests if not r.is_finished]

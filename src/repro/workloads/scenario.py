@@ -7,10 +7,9 @@ deterministic request trace from a name::
     from repro.workloads import build_scenario
     requests = build_scenario("rag-burst", num_requests=64, seed=3)
 
-``SCENARIOS`` is consumed by ``ServingSimulator.run_scenario``,
-``ClusterSimulator.run_scenario``, the cluster sweep runner (any scenario
-name is a valid ``ClusterSweepPoint.workload``) and the Figure 17 scenario
-sweep benchmark.  Builds are pure functions of ``(name, num_requests, seed,
+``SCENARIOS`` is consumed by :func:`run_scenario` (for either simulator),
+the cluster sweep runner (any scenario name is a valid
+``ClusterSweepPoint.workload``) and the Figure 17 scenario sweep benchmark.  Builds are pure functions of ``(name, num_requests, seed,
 qps)``: the same arguments always yield an identical trace.
 """
 
@@ -233,8 +232,8 @@ def run_scenario(
 ) -> Any:
     """Serve a registered scenario — the one entry point for every simulator.
 
-    This is the shared keyword surface behind ``ServingSimulator.run_scenario``,
-    ``ClusterSimulator.run_scenario`` and the observability report CLI:
+    This is the shared keyword surface behind the bench row builders, the
+    oracles, the operator CLI and the observability report CLI:
 
     * ``simulator=`` runs the trace on an already-configured simulator (its
       own scheduler/backend/fleet govern; passing fleet-building keywords

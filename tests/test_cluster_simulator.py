@@ -14,10 +14,15 @@ from repro.cluster import (
 )
 from repro.models.config import ClusterSpec
 from repro.serving.attention_backend import FASerialBackend
+from repro.serving.replica import ReplicaRuntime
 from repro.serving.request import Request, RequestState
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.simulator import ServingSimulator
 from repro.serving.trace import arxiv_workload, uniform_workload, with_poisson_arrivals
+from repro.verify.invariants import InvariantViolationError
+from repro.workloads import build_scenario
+
+from load_checks import load_checked_simulator
 
 
 def tab06_trace(num_requests: int = 64):
@@ -294,8 +299,8 @@ class TestClusterValidation:
 
 
 class TestIncrementalLoadAccounting:
-    """The heap/counter hot path must be indistinguishable from the
-    reference scan-based routing it replaced."""
+    """Routing reads the replicas' incremental load counters; the checking
+    routers (``load_checks``) hold them to reference scans at every route."""
 
     @pytest.mark.parametrize("topology_kind", ["colocated", "disaggregated"])
     @pytest.mark.parametrize("router", ["least-requests", "least-tokens", "prefill-aware"])
@@ -314,16 +319,17 @@ class TestIncrementalLoadAccounting:
             )
 
         requests = tab06_trace(24)
-        fast = ClusterSimulator(build(), router=router).run(requests)
-        # debug_validate_loads routes on fresh scans and cross-checks the
-        # incremental counters against them (sampled) as it goes.
-        scanned = ClusterSimulator(build(), router=router, debug_validate_loads=True).run(
-            requests
-        )
-        assert fast.assignments == scanned.assignments
-        assert fast.decode_assignments == scanned.decode_assignments
-        assert fast.metrics.fleet.makespan == scanned.metrics.fleet.makespan
-        for a, b in zip(fast.requests, scanned.requests):
+        plain = ClusterSimulator(build(), router=router).run(requests)
+        simulator = load_checked_simulator(build(), router)
+        checked = simulator.run(requests)
+        # Every arrival and every KV handoff was routed on checked loads.
+        assert simulator.router.checks == len(requests)
+        assert simulator.decode_router.checks == checked.metrics.num_kv_transfers
+        # The check only observes: the run is the unchecked one.
+        assert plain.assignments == checked.assignments
+        assert plain.decode_assignments == checked.decode_assignments
+        assert plain.metrics.fleet.makespan == checked.metrics.fleet.makespan
+        for a, b in zip(plain.requests, checked.requests):
             assert a.first_token_time == b.first_token_time
             assert a.finish_time == b.finish_time
 
@@ -339,17 +345,43 @@ class TestIncrementalLoadAccounting:
             assert replica.load_prefill_tokens == 0
             assert replica.scan_load() == (0, 0, 0)
 
-    def test_debug_flag_raises_on_corrupted_counter(self, llama3_deployment):
-        from repro.verify.invariants import InvariantViolationError
-
+    def test_drifted_counter_is_detected(self, llama3_deployment):
         topology = ColocatedTopology(
             llama3_deployment,
             num_replicas=2,
             scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
         )
-        simulator = ClusterSimulator(
-            topology, router="least-tokens", debug_validate_loads=True
-        )
+        simulator = load_checked_simulator(topology, "least-tokens")
         simulator.replicas[0].load_total_tokens += 7  # inject drift
         with pytest.raises(InvariantViolationError, match="load-accounting"):
             simulator.run(tab06_trace(8))
+
+
+class TestEventQueue:
+    def test_ready_polls_per_step_stay_constant_under_backlog(
+        self, llama3_deployment, monkeypatch
+    ):
+        """Each replica keeps one live ready entry, so a backlogged fleet asks
+        a replica for its next ready time about once per executed step, not
+        once per request waiting in the backlog."""
+        polls = 0
+        next_ready_time = ReplicaRuntime.next_ready_time
+
+        def counted(replica):
+            nonlocal polls
+            polls += 1
+            return next_ready_time(replica)
+
+        monkeypatch.setattr(ReplicaRuntime, "next_ready_time", counted)
+        topology = ColocatedTopology(
+            llama3_deployment,
+            num_replicas=4,
+            scheduler_factory=lambda: SarathiScheduler(chunk_size=1024),
+        )
+        simulator = ClusterSimulator(topology, router="least-tokens")
+        # 40 QPS is far above what four replicas serve: the backlog grows.
+        requests = build_scenario("shared-prefix-chat", num_requests=240, seed=1, qps=40.0)
+        result = simulator.run(requests)
+        assert all(r.is_finished for r in result.requests)
+        steps = sum(replica.steps_executed for replica in simulator.replicas)
+        assert polls / steps <= 2

@@ -30,6 +30,7 @@ from repro.verify.invariants import (
     check_kv_drain_balance,
 )
 from repro.verify.oracles import kv_allocator_equivalence, kv_allocator_operations
+from repro.workloads.scenario import run_scenario
 from repro.workloads.shapes import get_shape
 
 
@@ -322,7 +323,7 @@ class TestCachingWithPreemptionEndToEnd:
             ),
             recorder=recorder,
         )
-        result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=3)
+        result = run_scenario("shared-prefix-chat", simulator=simulator, num_requests=24, seed=3)
         assert all(r.is_finished for r in result.requests)
         assert check_event_log(recorder) == []
         assert check_kv_drain_balance([simulator]) == []
@@ -338,7 +339,7 @@ class TestCachingWithPreemptionEndToEnd:
             scheduler=SarathiScheduler(chunk_size=512),
             recorder=recorder,
         )
-        simulator.run_scenario("shared-prefix-chat", num_requests=12, seed=3)
+        run_scenario("shared-prefix-chat", simulator=simulator, num_requests=12, seed=3)
         assert recorder.of_kind(KV_SHARED_ALLOC) == []
         assert recorder.of_kind(PREEMPTED) == []
 

@@ -20,6 +20,7 @@ from repro.models.config import paper_deployment
 from repro.obs.profiling import HostProfiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
 from repro.verify.events import EventRecorder, TeeSink, as_sink
+from repro.workloads.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def run_pressured(deployment, recorder):
         deployment, capacity_tokens=8192, prefix_caching=True, preemption=True
     )
     simulator.recorder = as_sink(recorder)
-    result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
+    result = run_scenario("shared-prefix-chat", simulator=simulator, num_requests=24, seed=19)
     return simulator, result
 
 

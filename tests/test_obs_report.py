@@ -9,7 +9,6 @@ import pytest
 from repro.obs.report import (
     generate_report,
     main,
-    run_scenario_with_telemetry,
     scenario_telemetry,
 )
 
@@ -19,18 +18,6 @@ def small_run():
     return scenario_telemetry(
         "shared-prefix-chat", num_requests=12, seed=19, capacity_tokens=8192
     )
-
-
-class TestDeprecatedAlias:
-    def test_warns_and_matches_new_entry_point(self):
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            _, summary = run_scenario_with_telemetry(
-                "shared-prefix-chat", num_requests=8, seed=3, capacity_tokens=8192
-            )
-        _, expected = scenario_telemetry(
-            "shared-prefix-chat", num_requests=8, seed=3, capacity_tokens=8192
-        )
-        assert summary == expected
 
 
 class TestGenerateReport:

@@ -22,6 +22,7 @@ from repro.bench.pressure_rows import (
 from repro.models.config import paper_deployment
 from repro.obs.sampler import FleetSampler
 from repro.obs.telemetry import Telemetry
+from repro.workloads.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +36,8 @@ def run_pressured(deployment, capacity, num_requests=24, interval=0.5):
         deployment, capacity_tokens=capacity, prefix_caching=True, preemption=True
     )
     simulator.recorder = telemetry
-    result = simulator.run_scenario(
-        "shared-prefix-chat", num_requests=num_requests, seed=FIG19_SEED
+    result = run_scenario(
+        "shared-prefix-chat", simulator=simulator, num_requests=num_requests, seed=FIG19_SEED
     )
     telemetry.finalize()
     return telemetry, result

@@ -21,6 +21,7 @@ from repro.serving.kv_cache import KVCacheConfig
 from repro.serving.scheduler_sarathi import SarathiScheduler
 from repro.serving.simulator import ServingSimulator
 from repro.verify import EventRecorder, assert_no_violations, check_event_log
+from repro.workloads.scenario import run_scenario
 
 PHASES = {"queued", "prefill", "recompute", "decode"}
 
@@ -38,7 +39,7 @@ def pressured_run(deployment):
         deployment, capacity_tokens=8192, prefix_caching=True, preemption=True
     )
     simulator.recorder = tracer
-    result = simulator.run_scenario("shared-prefix-chat", num_requests=24, seed=19)
+    result = run_scenario("shared-prefix-chat", simulator=simulator, num_requests=24, seed=19)
     return tracer, result
 
 
@@ -116,7 +117,7 @@ class TestClusterTracing:
         simulator = ClusterSimulator(
             topology, router="prefix-affinity", recorder=[recorder, tracer]
         )
-        result = simulator.run_scenario("shared-prefix-chat", num_requests=30, seed=3)
+        result = run_scenario("shared-prefix-chat", simulator=simulator, num_requests=30, seed=3)
         assert_no_violations(check_event_log(recorder))
         assert len(tracer.requests) == len(result.requests)
         assert_span_invariants(tracer)
@@ -172,7 +173,7 @@ class TestPerfettoExport:
         simulator = ServingSimulator(
             deployment, scheduler=SarathiScheduler(chunk_size=1024), recorder=tracer
         )
-        simulator.run_scenario("shared-prefix-chat", num_requests=8, seed=1)
+        run_scenario("shared-prefix-chat", simulator=simulator, num_requests=8, seed=1)
         assert not tracer.step_spans
         assert tracer.counter_samples  # counters still sampled
         assert_span_invariants(tracer)

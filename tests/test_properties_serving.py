@@ -26,6 +26,8 @@ from repro.verify.fuzzer import build_fuzz_requests, fuzz_configs
 from repro.verify.invariants import check_replica_load_counters
 from repro.serving.trace import with_poisson_arrivals
 
+from load_checks import load_checked_simulator
+
 DEPLOYMENT = paper_deployment("llama-3-8b")
 
 request_specs = st.lists(
@@ -173,15 +175,15 @@ def test_load_counters_match_scan_under_fuzzed_scenarios(config):
 @settings(max_examples=8, deadline=None)
 @given(config=fuzz_configs())
 def test_cluster_load_validation_passes_under_fuzzed_scenarios(config):
-    """A cluster routed on reference scans with counter cross-checking
-    (``debug_validate_loads``) drains every fuzzed trace without drift."""
+    """Every routing decision on every fuzzed trace sees load counters equal
+    to reference scans, and the fleet drains."""
     requests = build_fuzz_requests(config)
     topology = ColocatedTopology(
         DEPLOYMENT,
         num_replicas=2,
         scheduler_factory=lambda: SarathiScheduler(chunk_size=config.chunk_size),
     )
-    result = ClusterSimulator(
-        topology, router="least-tokens", debug_validate_loads=True
-    ).run(requests)
+    simulator = load_checked_simulator(topology, "least-tokens")
+    result = simulator.run(requests)
+    assert simulator.router.checks == len(requests)
     assert all(request.is_finished for request in result.requests)

@@ -17,6 +17,7 @@ from repro.verify import (
     single_replica_equivalence,
 )
 from repro.workloads import SCENARIOS
+from repro.workloads.scenario import run_scenario
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 
@@ -86,11 +87,12 @@ class TestDiscrepancyReporting:
         from repro.serving.simulator import ServingSimulator
         from repro.verify.oracles import _compare_metrics
 
-        metrics = (
-            ServingSimulator(llama3_deployment, scheduler=SarathiScheduler())
-            .run_scenario("code-completion-surge", num_requests=4, seed=0)
-            .metrics
-        )
+        metrics = run_scenario(
+            "code-completion-surge",
+            simulator=ServingSimulator(llama3_deployment, scheduler=SarathiScheduler()),
+            num_requests=4,
+            seed=0,
+        ).metrics
         other = replace(metrics, makespan=metrics.makespan * 2)
         found = _compare_metrics("probe", metrics, other)
         assert found == [

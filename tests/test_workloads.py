@@ -31,6 +31,7 @@ from repro.workloads import (
     scenario_table,
     slo_targets,
 )
+from repro.workloads.scenario import run_scenario
 
 
 class TestRegistries:
@@ -212,7 +213,9 @@ class TestSimulatorIntegration:
                 scheduler=SarathiScheduler(chunk_size=1024),
                 backend=PODBackend(llama3_deployment),
             )
-            return simulator.run_scenario("code-completion-surge", num_requests=12, seed=3)
+            return run_scenario(
+                "code-completion-surge", simulator=simulator, num_requests=12, seed=3
+            )
 
         first, second = run(), run()
         assert first.metrics == second.metrics
@@ -220,7 +223,9 @@ class TestSimulatorIntegration:
     def test_cluster_simulator_run_scenario_slices_tenants(self, llama3_deployment):
         spec = ClusterSpec(llama3_deployment, num_replicas=2)
         simulator = ClusterSimulator(topology_from_spec(spec), router="round-robin")
-        result = simulator.run_scenario("multi-tenant-slo", num_requests=12, seed=1, qps=4.0)
+        result = run_scenario(
+            "multi-tenant-slo", simulator=simulator, num_requests=12, seed=1, qps=4.0
+        )
         assert result.metrics.per_tenant
         assert sum(m.num_requests for m in result.metrics.per_tenant.values()) == 12
         rows = result.metrics.tenant_rows()
@@ -247,6 +252,8 @@ class TestSimulatorIntegration:
     def test_untenanted_cluster_run_has_no_tenant_slices(self, llama3_deployment):
         spec = ClusterSpec(llama3_deployment, num_replicas=1)
         simulator = ClusterSimulator(topology_from_spec(spec), router="round-robin")
-        result = simulator.run_scenario("arxiv-summarization", num_requests=4, seed=0, qps=2.0)
+        result = run_scenario(
+            "arxiv-summarization", simulator=simulator, num_requests=4, seed=0, qps=2.0
+        )
         assert result.metrics.per_tenant == {}
         assert result.metrics.tenant_rows() == []
