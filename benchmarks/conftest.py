@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures, prints the
 rows in paper style and saves a CSV under ``results/``.  Scaled-down workload
 sizes (fewer requests / sampled sweep points) are used where the paper's full
-runs would take hours; EXPERIMENTS.md documents the scaling.
+runs would take hours; each benchmark's docstring states its scaling.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ def yi_deployment():
 
 @pytest.fixture(scope="session")
 def sim_engine(llama3_deployment):
-    return ExecutionEngine(llama3_deployment.gpu, record_ctas=False)
+    return ExecutionEngine(llama3_deployment.gpu)
 
 
 @pytest.fixture(scope="session")
 def yi_engine(yi_deployment):
-    return ExecutionEngine(yi_deployment.gpu, record_ctas=False)
+    return ExecutionEngine(yi_deployment.gpu)
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
 """Figure 11 (and the §5.1 energy result): speedup distribution over a hybrid-batch sweep.
 
 The paper sweeps >1000 hybrid batches (context 4K–20K, chunk 512–2K); we
-sample the same grid deterministically (EXPERIMENTS.md documents the
-sub-sampling) and report the distribution of attention speedups of every
-mechanism over FA_Serial, plus the energy savings of POD.
+sample the same grid deterministically and report the distribution of
+attention speedups of every mechanism over FA_Serial, plus the energy savings
+of POD.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def test_figure14(benchmark, yi_deployment, llama3_deployment, report):
 
     def run() -> None:
         for model_name, deployment in deployments.items():
-            engine = ExecutionEngine(deployment.gpu, record_ctas=False)
+            engine = ExecutionEngine(deployment.gpu)
             for batch_size in BATCH_SIZES:
                 batch = HybridBatch.uniform(
                     chunk_tokens=CHUNK,

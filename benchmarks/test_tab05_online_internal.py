@@ -2,9 +2,8 @@
 
 Llama-3-8B (TP-2), Poisson arrivals at QPS 1.1 and 1.2, chunk size 1536 for
 the Sarathi configurations.  The request count is scaled down from 2048 to 160
-per run (documented in EXPERIMENTS.md); metrics reported are TTFT/TBT/request
-latency P50/P99 and the fraction of requests with at least one 200 ms / 500 ms
-generation stall.
+per run; metrics reported are TTFT/TBT/request latency P50/P99 and the
+fraction of requests with at least one 200 ms / 500 ms generation stall.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.models import paper_deployment
 
 def main() -> None:
     deployment = paper_deployment("llama-3-8b")
-    engine = ExecutionEngine(deployment.gpu, record_ctas=False)
+    engine = ExecutionEngine(deployment.gpu)
     batch = table1_configs()["C0"]
 
     print(

@@ -2,8 +2,8 @@
 
 A pure-Python reproduction of *POD-Attention: Unlocking Full Prefill-Decode
 Overlap for Faster LLM Inference* (ASPLOS 2025) on a simulated GPU substrate.
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured comparison of every table and figure.
+See the README's "Architecture map" for the system inventory and
+"Benchmarks → paper figures" for the benchmark behind every table and figure.
 
 Public API highlights:
 

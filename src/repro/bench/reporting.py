@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one of the paper's tables or figures; these
 helpers print the rows/series in a consistent, paper-style layout and can
-persist them as CSV files for EXPERIMENTS.md.
+persist them as CSV files under ``results/``.
 """
 
 from __future__ import annotations

@@ -58,10 +58,6 @@ class FusionRunResult:
         return self.total_time * 1e3
 
 
-def _engine(spec: GPUSpec) -> ExecutionEngine:
-    return ExecutionEngine(spec, record_ctas=False)
-
-
 def _summarize(method: str, execution) -> FusionRunResult:
     return FusionRunResult(
         method=method,
@@ -77,7 +73,7 @@ def run_serial(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
         KernelLaunch(compute_kernel(config), stream=0),
         KernelLaunch(memory_kernel(config), stream=0),
     ]
-    return _summarize("serial", _engine(spec).run(launches))
+    return _summarize("serial", ExecutionEngine(spec).run(launches))
 
 
 def run_streams(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
@@ -86,7 +82,7 @@ def run_streams(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
         KernelLaunch(compute_kernel(config), stream=0),
         KernelLaunch(memory_kernel(config), stream=1),
     ]
-    return _summarize("streams", _engine(spec).run(launches))
+    return _summarize("streams", ExecutionEngine(spec).run(launches))
 
 
 def _fused_kernel_static(config: MicrobenchConfig, ordering: str) -> Kernel:
@@ -108,7 +104,7 @@ def _fused_kernel_static(config: MicrobenchConfig, ordering: str) -> Kernel:
 def run_cta_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
     """CTA-parallel fusion with static (launch-time) operation binding."""
     kernel = _fused_kernel_static(config, ordering="blocked")
-    return _summarize("cta_parallel", _engine(spec).run_kernel(kernel))
+    return _summarize("cta_parallel", ExecutionEngine(spec).run_kernel(kernel))
 
 
 def run_warp_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResult:
@@ -123,7 +119,7 @@ def run_warp_parallel(spec: GPUSpec, config: MicrobenchConfig) -> FusionRunResul
         shared_mem_per_cta=config.shared_mem_per_cta * 2,
         registers_per_thread=config.registers_per_thread,
     )
-    return _summarize("warp_parallel", _engine(spec).run_kernel(kernel))
+    return _summarize("warp_parallel", ExecutionEngine(spec).run_kernel(kernel))
 
 
 def run_intra_thread(
@@ -172,7 +168,7 @@ def run_intra_thread(
         shared_mem_per_cta=config.shared_mem_per_cta * 2,
         registers_per_thread=config.registers_per_thread,
     )
-    return _summarize("intra_thread", _engine(spec).run_kernel(kernel))
+    return _summarize("intra_thread", ExecutionEngine(spec).run_kernel(kernel))
 
 
 def run_sm_aware(
@@ -204,7 +200,7 @@ def run_sm_aware(
         shared_mem_per_cta=config.shared_mem_per_cta,
         registers_per_thread=config.registers_per_thread,
     )
-    return _summarize("sm_aware", _engine(spec).run_kernel(kernel))
+    return _summarize("sm_aware", ExecutionEngine(spec).run_kernel(kernel))
 
 
 def oracle_time(spec: GPUSpec, config: MicrobenchConfig) -> float:

@@ -3,14 +3,13 @@
 This package models the parts of a GPU that the POD-Attention argument
 depends on: SMs with private compute and a capped draw on shared HBM
 bandwidth, an occupancy-limited hardware CTA scheduler, streams, wave
-quantization, and an activity-based energy model.  See DESIGN.md for why this
-substitution preserves the paper's behaviour.
+quantization, and an activity-based energy model.
 """
 
 from repro.gpu.atomics import AtomicCounter, AtomicCounterArray
 from repro.gpu.config import GPUSpec, GPU_PRESETS, a100_sxm_80gb, a6000, get_gpu, h100_sxm_80gb
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG, total_dram_bytes, total_flops
-from repro.gpu.engine import ExecutionEngine, PLACEMENT_POLICIES, water_fill
+from repro.gpu.engine import ExecutionEngine
 from repro.gpu.kernel import CTABinder, Kernel, KernelLaunch
 from repro.gpu.occupancy import (
     OccupancyReport,
@@ -19,7 +18,7 @@ from repro.gpu.occupancy import (
     wave_quantization_loss,
     waves_required,
 )
-from repro.gpu.result import CTARecord, ExecutionResult, KernelResult
+from repro.gpu.result import ExecutionResult, KernelResult
 
 __all__ = [
     "AtomicCounter",
@@ -36,8 +35,6 @@ __all__ = [
     "total_dram_bytes",
     "total_flops",
     "ExecutionEngine",
-    "PLACEMENT_POLICIES",
-    "water_fill",
     "CTABinder",
     "Kernel",
     "KernelLaunch",
@@ -46,7 +43,6 @@ __all__ = [
     "occupancy_report",
     "wave_quantization_loss",
     "waves_required",
-    "CTARecord",
     "ExecutionResult",
     "KernelResult",
 ]

@@ -2,17 +2,21 @@
 
 The engine models the GPU as a processor-sharing system:
 
-* every SM has a private compute throughput (tensor-core and CUDA-core
-  pipes), split at each instant among its resident CTAs that still have
-  compute work outstanding;
-* DRAM bandwidth is a global pool, shared max-min fairly across SMs subject
-  to a per-SM draw cap, and then split among each SM's memory-active CTAs;
+* every SM has a private compute throughput per pipe (tensor cores, CUDA
+  cores), split evenly at each instant among its resident CTAs that still
+  have work on that pipe, each capped at ``max_compute_fraction`` of it;
+* each SM with memory-active CTAs draws
+  ``min(sm_mem_bandwidth, hbm_bandwidth / active_sms)`` from DRAM; that share
+  is split evenly among the SM's memory-active CTAs, each capped at
+  ``max_mem_fraction * sm_mem_bandwidth``, and bandwidth that capped CTAs
+  leave unused is not redistributed;
 * a CTA retires once its compute work, its memory work and its fixed latency
   are all exhausted;
-* the hardware CTA scheduler dispatches CTAs from eligible kernel launches
-  into free SM slots (threads / shared memory / registers / CTA-count limits),
-  preferring earlier launches, exactly like the in-order-with-overflow
-  behaviour of real stream scheduling.
+* the hardware CTA scheduler dispatches CTAs from eligible kernel launches,
+  earlier launches first, like in-order stream scheduling with overflow.  Each
+  CTA goes to the SM with the fewest resident CTAs that still has room for it
+  (threads / shared memory / registers / CTA-count limits), ties going to the
+  lowest SM index.
 
 This first-order model reproduces the phenomena the paper's argument rests
 on: compute-bound prefill leaves DRAM idle, memory-bound decode leaves tensor
@@ -20,92 +24,49 @@ cores idle, wave quantization strands SMs in the last wave, warp-fused CTAs
 suffer stragglers, and SM-level co-location of prefill and decode allows both
 resources to be saturated at once.
 
-The inner simulation loop is vectorised with NumPy (state arrays indexed by
-dispatched-CTA id) so that kernels with thousands of CTAs simulate in
-milliseconds; the dispatch and bookkeeping layers remain plain Python objects.
+State is kept only for resident CTAs, one row each in flat NumPy arrays in
+dispatch order: rows are appended at dispatch and dropped at retirement, so
+every event costs time in the number of CTAs on the GPU, not in the grid.
+Per-SM resource use is one small array, so placing a CTA is one vectorised
+fit test plus an ``argmin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.gpu.config import GPUSpec
 from repro.gpu.cta import DECODE_TAG, PREFILL_TAG
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.gpu.occupancy import max_resident_ctas
-from repro.gpu.result import CTARecord, ExecutionResult, KernelResult
+from repro.gpu.result import ExecutionResult, KernelResult
 
 _EPS = 1e-15
+#: Operation kinds tracked per CTA; CTAs with any other tag count as untagged.
+_KINDS = (PREFILL_TAG, DECODE_TAG, "untagged")
+_KIND_OF = {PREFILL_TAG: 0, DECODE_TAG: 1}
 _TIME_EPS = 1e-12
+_MAX_EVENTS = 500_000
+#: Resident-count stand-in for SMs that cannot host the CTA being placed.
+_NO_ROOM = np.iinfo(np.int64).max
+#: Relative rounding slack allowed when checking busy time against the makespan.
+_BUSY_SLACK = 1e-9
 
-PLACEMENT_POLICIES = ("breadth_first", "lowest_index", "round_robin")
 
+def busy_fraction(resource: str, busy: float, makespan: float) -> float:
+    """Utilization of ``resource``: its busy time over the makespan.
 
-def water_fill(capacity: float, caps: Sequence[float]) -> list[float]:
-    """Distribute ``capacity`` across consumers with individual ``caps``.
-
-    Classic max-min fair (water-filling) allocation: every consumer receives an
-    equal share unless its cap is lower, in which case the leftover is
-    redistributed among the uncapped consumers.
+    Raises:
+        RuntimeError: if the resource was busy for longer than the makespan,
+            which means the engine did not conserve work.
     """
-    n = len(caps)
-    if n == 0:
-        return []
-    alloc = [0.0] * n
-    remaining = capacity
-    active = [i for i in range(n) if caps[i] > 0]
-    while active and remaining > _EPS:
-        fair = remaining / len(active)
-        capped = [i for i in active if caps[i] - alloc[i] <= fair + _EPS]
-        if not capped:
-            for i in active:
-                alloc[i] += fair
-            remaining = 0.0
-            break
-        for i in capped:
-            grant = caps[i] - alloc[i]
-            alloc[i] = caps[i]
-            remaining -= grant
-        active = [i for i in active if i not in capped]
-    return alloc
-
-
-@dataclass
-class _SMState:
-    """Mutable per-SM resource tracking (used only by the dispatcher)."""
-
-    index: int
-    resident_count: int = 0
-    used_threads: int = 0
-    used_shared_mem: int = 0
-    used_registers: int = 0
-
-    def can_host(self, kernel: Kernel, spec: GPUSpec) -> bool:
-        if self.resident_count >= spec.max_ctas_per_sm:
-            return False
-        if self.used_threads + kernel.threads_per_cta > spec.max_threads_per_sm:
-            return False
-        if self.used_shared_mem + kernel.shared_mem_per_cta > spec.shared_mem_per_sm:
-            return False
-        regs = kernel.registers_per_thread * kernel.threads_per_cta
-        if self.used_registers + regs > spec.registers_per_sm:
-            return False
-        return True
-
-    def admit(self, kernel: Kernel) -> None:
-        self.resident_count += 1
-        self.used_threads += kernel.threads_per_cta
-        self.used_shared_mem += kernel.shared_mem_per_cta
-        self.used_registers += kernel.registers_per_thread * kernel.threads_per_cta
-
-    def release(self, kernel: Kernel) -> None:
-        self.resident_count -= 1
-        self.used_threads -= kernel.threads_per_cta
-        self.used_shared_mem -= kernel.shared_mem_per_cta
-        self.used_registers -= kernel.registers_per_thread * kernel.threads_per_cta
+    if busy > makespan * (1.0 + _BUSY_SLACK):
+        raise RuntimeError(f"{resource} busy time {busy!r} s exceeds the makespan {makespan!r} s")
+    return busy / makespan
 
 
 @dataclass
@@ -133,34 +94,52 @@ class _LaunchState:
         return self.completed >= self.kernel.num_ctas
 
 
+class _Row(NamedTuple):
+    """One resident CTA's state, as appended to :class:`_Residents`."""
+
+    rem: tuple[float, float, float]  # FLOPs, DRAM bytes and fixed latency still to go
+    cap: tuple[float, float, float]  # caps on the rates ``rem`` drains at
+    peak: float  # peak FLOP/s of the CTA's pipe on one SM
+    sm: int
+    pipe_slot: int  # 2 * sm + (1 if the CTA runs on CUDA cores else 0)
+    kind: int  # index into _KINDS
+    launch: int
+
+
+class _Residents:
+    """Per-CTA state of the resident CTAs: one row per CTA, in dispatch order."""
+
+    def __init__(self) -> None:
+        self.rem = np.zeros((0, 3))
+        self.cap = np.zeros((0, 3))
+        self.peak = np.zeros(0)
+        self.sm = np.zeros(0, dtype=np.int64)
+        self.pipe_slot = np.zeros(0, dtype=np.int64)
+        self.kind = np.zeros(0, dtype=np.int64)
+        self.launch = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.sm)
+
+    def append(self, rows: list[_Row]) -> None:
+        for name, column in zip(_Row._fields, zip(*rows)):
+            setattr(self, name, np.concatenate((getattr(self, name), column)))
+
+    def keep(self, mask: npt.NDArray[np.bool_]) -> None:
+        """Drop every row where ``mask`` is false, preserving the order of the rest."""
+        for name in _Row._fields:
+            setattr(self, name, getattr(self, name)[mask])
+
+
 class ExecutionEngine:
     """Executes kernel launches on a simulated GPU and reports timing/utilization.
 
-    Args:
-        spec: The GPU to simulate.
-        placement: How the hardware CTA scheduler picks an SM for the next CTA.
-            ``breadth_first`` (default) spreads CTAs across SMs, ``lowest_index``
-            packs them onto low-numbered SMs, ``round_robin`` cycles.
-        record_ctas: Whether to keep a per-CTA trace in the result (useful for
-            tests and co-location analysis; adds memory overhead).
+    The engine keeps no state between runs: running the same launches twice
+    gives identical results.
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        placement: str = "breadth_first",
-        record_ctas: bool = True,
-    ) -> None:
-        if placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"placement must be one of {PLACEMENT_POLICIES}, got {placement!r}"
-            )
+    def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        self.placement = placement
-        self.record_ctas = record_ctas
-        self._rr_pointer = 0
-
-    # ------------------------------------------------------------------ API
 
     def run(self, launches: Sequence[KernelLaunch]) -> ExecutionResult:
         """Execute ``launches`` and return the simulated :class:`ExecutionResult`."""
@@ -173,7 +152,7 @@ class ExecutionEngine:
                     f"kernel {launch.kernel.name!r} cannot fit a single CTA on an SM of "
                     f"{self.spec.name}"
                 )
-        return _Execution(self, list(launches)).run()
+        return _Execution(self.spec, list(launches)).run()
 
     def run_kernel(self, kernel: Kernel, stream: int = 0) -> ExecutionResult:
         """Convenience wrapper for executing a single kernel."""
@@ -183,36 +162,28 @@ class ExecutionEngine:
 class _Execution:
     """One simulation run (separate from the engine so the engine is reusable)."""
 
-    def __init__(self, engine: ExecutionEngine, launches: list[KernelLaunch]) -> None:
-        self.engine = engine
-        self.spec = engine.spec
+    def __init__(self, spec: GPUSpec, launches: list[KernelLaunch]) -> None:
+        self.spec = spec
         self.launches = [_LaunchState(launch=launch, index=i) for i, launch in enumerate(launches)]
-        self.sms = [_SMState(index=i) for i in range(self.spec.num_sms)]
         self.time = 0.0
-        self.records: list[CTARecord] = []
+        self.res = _Residents()
 
-        capacity = sum(state.kernel.num_ctas for state in self.launches)
-        self._capacity = capacity
-        # Per dispatched-CTA state arrays (indexed by dispatch slot).
-        self.rem_flops = np.zeros(capacity)
-        self.rem_bytes = np.zeros(capacity)
-        self.rem_fixed = np.zeros(capacity)
-        self.max_cf = np.ones(capacity)
-        self.max_mf = np.ones(capacity)
-        self.sm_of = np.zeros(capacity, dtype=np.int64)
-        self.pipe_is_cuda = np.zeros(capacity, dtype=bool)
-        self.is_prefill = np.zeros(capacity, dtype=bool)
-        self.is_decode = np.zeros(capacity, dtype=bool)
-        self.launch_of = np.zeros(capacity, dtype=np.int64)
-        self.dispatch_idx = np.zeros(capacity, dtype=np.int64)
-        self.start_times = np.zeros(capacity)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.tags: list[str] = [""] * capacity
-        self.flops_of = np.zeros(capacity)
-        self.bytes_of = np.zeros(capacity)
-        self.compute_rate = np.zeros(capacity)
-        self.mem_rate = np.zeros(capacity)
-        self._next_slot = 0
+        # Per-SM resource use and limits, and each launch's per-CTA demand, as
+        # columns (CTAs, threads, shared memory, registers).
+        self.sm_limit = np.array(
+            [
+                spec.max_ctas_per_sm,
+                spec.max_threads_per_sm,
+                spec.shared_mem_per_sm,
+                spec.registers_per_sm,
+            ]
+        )
+        kernels = [state.kernel for state in self.launches]
+        self.need = np.array(
+            [[1, k.threads_per_cta, k.shared_mem_per_cta, k.registers_per_thread] for k in kernels]
+        )
+        self.need[:, 3] *= self.need[:, 1]  # registers per thread -> per CTA
+        self.sm_used = np.zeros((spec.num_sms, 4), dtype=self.need.dtype)
 
         # Busy-time integrals for utilization and energy accounting.
         self.tensor_flops_done = 0.0
@@ -225,271 +196,178 @@ class _Execution:
         self.resident_cta_seconds = 0.0
         self._need_dispatch = True
 
-        self._init_eligibility()
-
-    def _init_eligibility(self) -> None:
         seen_streams: set[int] = set()
         for state in self.launches:
-            stream = state.launch.stream
-            if stream not in seen_streams:
-                state.eligible_time = self.spec.kernel_launch_overhead
-                seen_streams.add(stream)
+            if state.launch.stream not in seen_streams:
+                state.eligible_time = spec.kernel_launch_overhead
+                seen_streams.add(state.launch.stream)
 
     # ------------------------------------------------------------- dispatch
 
-    def _eligible_launches(self) -> list[_LaunchState]:
+    def _pending_times(self) -> list[float]:
+        """Eligibility times of the unlocked launches that still have CTAs to dispatch."""
         return [
-            state
+            state.eligible_time
             for state in self.launches
-            if state.eligible_time is not None
-            and state.eligible_time <= self.time + _TIME_EPS
-            and not state.fully_dispatched
+            if state.eligible_time is not None and not state.fully_dispatched
         ]
 
-    def _pick_sm(self, kernel: Kernel) -> _SMState | None:
-        candidates = [sm for sm in self.sms if sm.can_host(kernel, self.spec)]
-        if not candidates:
-            return None
-        policy = self.engine.placement
-        if policy == "breadth_first":
-            return min(candidates, key=lambda sm: (sm.resident_count, sm.index))
-        if policy == "lowest_index":
-            return min(candidates, key=lambda sm: sm.index)
-        # round_robin
-        n = self.spec.num_sms
-        for offset in range(n):
-            sm = self.sms[(self.engine._rr_pointer + offset) % n]
-            if sm.can_host(kernel, self.spec):
-                self.engine._rr_pointer = (sm.index + 1) % n
-                return sm
-        return None
+    def _dispatch_ready_ctas(self) -> bool:
+        """Dispatch every CTA that fits now, earlier launches first."""
+        rows: list[_Row] = []
+        for state in self.launches:
+            if (
+                state.eligible_time is None
+                or state.eligible_time > self.time + _TIME_EPS
+                or state.fully_dispatched
+            ):
+                continue
+            need = self.need[state.index]
+            # Dispatching only consumes resources, so once a launch stops
+            # fitting no earlier launch can fit either: one pass is enough.
+            while not state.fully_dispatched:
+                fits = (self.sm_used + need <= self.sm_limit).all(axis=1)
+                if not fits.any():
+                    break
+                sm = int(np.argmin(np.where(fits, self.sm_used[:, 0], _NO_ROOM)))
+                self.sm_used[sm] += need
+                rows.append(self._bind(state, sm))
+        if rows:
+            self.res.append(rows)
+        return bool(rows)
 
-    def _dispatch_one(self, state: _LaunchState, sm: _SMState) -> None:
-        work = state.kernel.work_for(state.dispatched, sm.index)
-        slot = self._next_slot
-        self._next_slot += 1
-        self.rem_flops[slot] = work.flops
-        self.rem_bytes[slot] = work.dram_bytes
-        self.rem_fixed[slot] = work.fixed_time
-        self.max_cf[slot] = work.max_compute_fraction
-        self.max_mf[slot] = work.max_mem_fraction
-        self.sm_of[slot] = sm.index
-        self.pipe_is_cuda[slot] = work.meta.get("pipe", "tensor") == "cuda"
-        self.is_prefill[slot] = work.tag == PREFILL_TAG
-        self.is_decode[slot] = work.tag == DECODE_TAG
-        self.launch_of[slot] = state.index
-        self.dispatch_idx[slot] = state.dispatched
-        self.start_times[slot] = self.time
-        self.alive[slot] = True
-        self.tags[slot] = work.tag or "untagged"
-        self.flops_of[slot] = work.flops
-        self.bytes_of[slot] = work.dram_bytes
-        sm.admit(state.kernel)
+    def _bind(self, state: _LaunchState, sm: int) -> _Row:
+        """Resolve the work of ``state``'s next CTA, placed on ``sm``, into a resident row."""
+        spec = self.spec
+        work = state.kernel.work_for(state.dispatched, sm)
         if state.start_time is None:
             state.start_time = self.time
         state.dispatched += 1
-
-    def _dispatch_ready_ctas(self) -> bool:
-        dispatched_any = False
-        progressed = True
-        while progressed:
-            progressed = False
-            for state in self._eligible_launches():
-                sm = self._pick_sm(state.kernel)
-                if sm is None:
-                    continue
-                self._dispatch_one(state, sm)
-                progressed = True
-                dispatched_any = True
-                break  # restart launch scan so earlier launches keep priority
-        return dispatched_any
-
-    # ----------------------------------------------------------------- rates
-
-    def _recompute_rates(self) -> None:
-        spec = self.spec
-        num_sms = spec.num_sms
-        alive = self.alive
-        self.compute_rate[:] = 0.0
-        self.mem_rate[:] = 0.0
-
-        # Compute pipes: per-SM capacity split among compute-active residents.
-        for is_cuda, peak in ((False, spec.tensor_flops_per_sm), (True, spec.cuda_flops_per_sm)):
-            sel = alive & (self.rem_flops > _EPS) & (self.pipe_is_cuda == is_cuda)
-            if not np.any(sel):
-                continue
-            sms = self.sm_of[sel]
-            counts = np.bincount(sms, minlength=num_sms)
-            share = peak / counts[sms]
-            cap = self.max_cf[sel] * peak
-            self.compute_rate[sel] = np.minimum(share, cap)
-
-        # Memory: global pool shared max-min fairly across SMs, with a per-SM cap.
-        mem_sel = alive & (self.rem_bytes > _EPS)
-        if np.any(mem_sel):
-            sms = self.sm_of[mem_sel]
-            counts = np.bincount(sms, minlength=num_sms)
-            active_sms = int(np.count_nonzero(counts))
-            per_sm_bw = min(spec.sm_mem_bandwidth, spec.hbm_bandwidth / active_sms)
-            share = per_sm_bw / counts[sms]
-            cap = self.max_mf[mem_sel] * spec.sm_mem_bandwidth
-            self.mem_rate[mem_sel] = np.minimum(share, cap)
+        cuda = work.meta.get("pipe") == "cuda"
+        peak = spec.cuda_flops_per_sm if cuda else spec.tensor_flops_per_sm
+        return _Row(
+            rem=(work.flops, work.dram_bytes, work.fixed_time),
+            cap=(
+                work.max_compute_fraction * peak,
+                work.max_mem_fraction * spec.sm_mem_bandwidth,
+                1.0,
+            ),
+            peak=peak,
+            sm=sm,
+            pipe_slot=2 * sm + cuda,
+            kind=_KIND_OF.get(work.tag, 2),
+            launch=state.index,
+        )
 
     # ------------------------------------------------------------------ loop
 
-    def _next_event_dt(self) -> float:
-        alive = self.alive
-        dt = np.inf
-        c_sel = alive & (self.compute_rate > _EPS)
-        if np.any(c_sel):
-            dt = min(dt, float(np.min(self.rem_flops[c_sel] / self.compute_rate[c_sel])))
-        m_sel = alive & (self.mem_rate > _EPS)
-        if np.any(m_sel):
-            dt = min(dt, float(np.min(self.rem_bytes[m_sel] / self.mem_rate[m_sel])))
-        f_sel = alive & (self.rem_fixed > _EPS)
-        if np.any(f_sel):
-            dt = min(dt, float(np.min(self.rem_fixed[f_sel])))
+    def _rates(self) -> npt.NDArray[np.float64]:
+        """How fast each resident's ``rem`` drains: FLOP/s, bytes/s, and 1 for fixed latency."""
+        spec = self.spec
+        res = self.res
+        active = res.rem > _EPS
+        # Compute: each SM pipe's peak split among its compute-active residents.
+        per_pipe = np.bincount(res.pipe_slot[active[:, 0]], minlength=2 * spec.num_sms)
+        # Memory: each active SM's DRAM share split among its memory-active residents.
+        per_sm = np.bincount(res.sm[active[:, 1]], minlength=spec.num_sms)
+        active_sms = int(np.count_nonzero(per_sm))
+        per_sm_bw = min(spec.sm_mem_bandwidth, spec.hbm_bandwidth / max(active_sms, 1))
+        share = np.ones_like(res.cap)
+        np.divide(res.peak, np.maximum(per_pipe[res.pipe_slot], 1), out=share[:, 0])
+        np.divide(per_sm_bw, np.maximum(per_sm[res.sm], 1), out=share[:, 1])
+        return np.where(active, np.minimum(share, res.cap), 0.0)
+
+    def _next_event_dt(self, rates: npt.NDArray[np.float64]) -> float:
+        drain = np.divide(self.res.rem, rates, out=np.full_like(rates, np.inf), where=rates > _EPS)
+        dt = float(drain.min())
         # A launch waiting only on its launch-overhead gap can also be the next event.
-        for state in self.launches:
-            if state.eligible_time is not None and not state.fully_dispatched:
-                if state.eligible_time > self.time + _TIME_EPS:
-                    dt = min(dt, state.eligible_time - self.time)
+        for eligible_time in self._pending_times():
+            if eligible_time > self.time + _TIME_EPS:
+                dt = min(dt, eligible_time - self.time)
         return dt
 
-    def _advance(self, dt: float) -> None:
-        alive = self.alive
-        if np.any(alive):
-            sms_alive = self.sm_of[alive]
-            prefill_sms = np.bincount(
-                self.sm_of[alive & self.is_prefill], minlength=self.spec.num_sms
-            )
-            decode_sms = np.bincount(
-                self.sm_of[alive & self.is_decode], minlength=self.spec.num_sms
-            )
-            occupied = np.bincount(sms_alive, minlength=self.spec.num_sms) > 0
-            colocated = int(np.count_nonzero((prefill_sms > 0) & (decode_sms > 0)))
-            self.colocated_sm_seconds += colocated * dt
-            self.active_sm_seconds += int(np.count_nonzero(occupied)) * dt
-            self.resident_cta_seconds += int(np.count_nonzero(alive)) * dt
+    def _advance(self, dt: float, rates: npt.NDArray[np.float64]) -> None:
+        res = self.res
+        num_sms = self.spec.num_sms
+        prefill = np.bincount(res.sm[res.kind == 0], minlength=num_sms)
+        decode = np.bincount(res.sm[res.kind == 1], minlength=num_sms)
+        self.colocated_sm_seconds += int(np.count_nonzero(np.minimum(prefill, decode))) * dt
+        self.active_sm_seconds += int(np.count_nonzero(self.sm_used[:, 0])) * dt
+        self.resident_cta_seconds += len(res) * dt
 
-        flops_step = np.minimum(self.rem_flops, self.compute_rate * dt)
-        bytes_step = np.minimum(self.rem_bytes, self.mem_rate * dt)
-        flops_step[~alive] = 0.0
-        bytes_step[~alive] = 0.0
-        self.rem_flops -= flops_step
-        self.rem_bytes -= bytes_step
-        self.rem_fixed[alive] = np.maximum(0.0, self.rem_fixed[alive] - dt)
-
-        tensor_step = float(np.sum(flops_step[~self.pipe_is_cuda]))
-        cuda_step = float(np.sum(flops_step[self.pipe_is_cuda]))
-        self.tensor_flops_done += tensor_step
-        self.cuda_flops_done += cuda_step
-        self.bytes_done += float(np.sum(bytes_step))
-        prefill_sel = self.is_prefill
-        decode_sel = self.is_decode
-        other_sel = ~(prefill_sel | decode_sel)
-        for tag, sel in ((PREFILL_TAG, prefill_sel), (DECODE_TAG, decode_sel)):
-            f = float(np.sum(flops_step[sel]))
-            b = float(np.sum(bytes_step[sel]))
+        step = np.minimum(res.rem, rates * dt)
+        res.rem -= step
+        flops, nbytes = step[:, 0], step[:, 1]
+        tensor, cuda = np.bincount(res.pipe_slot % 2, weights=flops, minlength=2).tolist()
+        self.tensor_flops_done += tensor
+        self.cuda_flops_done += cuda
+        self.bytes_done += float(nbytes.sum())
+        kind_flops = np.bincount(res.kind, weights=flops, minlength=len(_KINDS)).tolist()
+        kind_bytes = np.bincount(res.kind, weights=nbytes, minlength=len(_KINDS)).tolist()
+        for tag, f, b in zip(_KINDS, kind_flops, kind_bytes):
             if f or b:
                 self.tag_flops[tag] = self.tag_flops.get(tag, 0.0) + f
                 self.tag_bytes[tag] = self.tag_bytes.get(tag, 0.0) + b
-        f = float(np.sum(flops_step[other_sel]))
-        b = float(np.sum(bytes_step[other_sel]))
-        if f or b:
-            self.tag_flops["untagged"] = self.tag_flops.get("untagged", 0.0) + f
-            self.tag_bytes["untagged"] = self.tag_bytes.get("untagged", 0.0) + b
         self.time += dt
 
     def _retire_finished(self) -> bool:
-        done = (
-            self.alive
-            & (self.rem_flops <= _EPS)
-            & (self.rem_bytes <= _EPS)
-            & (self.rem_fixed <= _EPS)
-        )
-        finished_slots = np.flatnonzero(done)
-        if finished_slots.size == 0:
+        res = self.res
+        done = (res.rem <= _EPS).all(axis=1)
+        if not done.any():
             return False
-        for slot in finished_slots:
-            slot = int(slot)
-            self.alive[slot] = False
-            state = self.launches[int(self.launch_of[slot])]
-            sm = self.sms[int(self.sm_of[slot])]
-            sm.release(state.kernel)
-            state.completed += 1
-            if self.engine.record_ctas:
-                self.records.append(
-                    CTARecord(
-                        kernel=state.kernel.name,
-                        dispatch_index=int(self.dispatch_idx[slot]),
-                        sm_id=int(self.sm_of[slot]),
-                        tag=self.tags[slot],
-                        start_time=float(self.start_times[slot]),
-                        end_time=self.time,
-                        flops=float(self.flops_of[slot]),
-                        dram_bytes=float(self.bytes_of[slot]),
-                    )
-                )
-            if state.finished and state.end_time is None:
+        launches = res.launch[done]
+        np.subtract.at(self.sm_used, res.sm[done], self.need[launches])
+        res.keep(~done)
+        for index, count in enumerate(np.bincount(launches).tolist()):
+            state = self.launches[index]
+            state.completed += count
+            if count and state.finished and state.end_time is None:
                 state.end_time = self.time
                 self._unlock_successor(state)
         return True
 
     def _unlock_successor(self, finished_state: _LaunchState) -> None:
         stream = finished_state.launch.stream
-        for state in self.launches:
-            if state.index <= finished_state.index or state.launch.stream != stream:
-                continue
-            if state.eligible_time is None:
-                state.eligible_time = self.time + self.spec.kernel_launch_overhead
-            break
+        for state in self.launches[finished_state.index + 1 :]:
+            if state.launch.stream == stream:
+                if state.eligible_time is None:
+                    state.eligible_time = self.time + self.spec.kernel_launch_overhead
+                return
 
     def run(self) -> ExecutionResult:
-        max_iterations = 500_000
-        for _ in range(max_iterations):
-            if self._need_dispatch:
-                dispatched = self._dispatch_ready_ctas()
-                if not dispatched:
-                    # Nothing fits right now; retry only after a CTA retires or
-                    # a new launch becomes eligible.
-                    self._need_dispatch = False
-            if not np.any(self.alive):
-                pending = [
-                    s
-                    for s in self.launches
-                    if not s.finished and s.eligible_time is not None and not s.fully_dispatched
-                ]
+        for _ in range(_MAX_EVENTS):
+            if self._need_dispatch and not self._dispatch_ready_ctas():
+                # Nothing fits right now; retry only after a CTA retires or a
+                # new launch becomes eligible.
+                self._need_dispatch = False
+            if not len(self.res):
+                pending = self._pending_times()
                 if not pending:
                     break
-                next_time = min(s.eligible_time for s in pending)
-                if next_time <= self.time + _TIME_EPS and not self._need_dispatch:
+                next_time = min(pending)
+                if next_time <= self.time + _TIME_EPS:
+                    if self._need_dispatch:
+                        # Eligible but nothing dispatched: should not happen because
+                        # occupancy was validated; guard against infinite loops.
+                        raise RuntimeError("no CTA could be dispatched despite eligible launches")
                     self._need_dispatch = True
                     continue
-                if next_time <= self.time + _TIME_EPS:
-                    # Eligible but nothing dispatched: should not happen because
-                    # occupancy was validated; guard against infinite loops.
-                    raise RuntimeError("no CTA could be dispatched despite eligible launches")
                 self.time = next_time
                 self._need_dispatch = True
                 continue
-            self._recompute_rates()
-            dt = self._next_event_dt()
+            rates = self._rates()
+            dt = self._next_event_dt(rates)
             if not np.isfinite(dt):
                 raise RuntimeError("simulation stalled: residents exist but nothing progresses")
             previous_time = self.time
-            self._advance(dt)
+            self._advance(dt, rates)
             if self._retire_finished():
                 self._need_dispatch = True
             if not self._need_dispatch:
-                for state in self.launches:
-                    if (
-                        state.eligible_time is not None
-                        and not state.fully_dispatched
-                        and previous_time < state.eligible_time <= self.time + _TIME_EPS
-                    ):
-                        self._need_dispatch = True
-                        break
+                self._need_dispatch = any(
+                    previous_time < eligible_time <= self.time + _TIME_EPS
+                    for eligible_time in self._pending_times()
+                )
         else:  # pragma: no cover - safety net
             raise RuntimeError("execution exceeded the maximum number of simulation events")
 
@@ -498,15 +376,11 @@ class _Execution:
     # ---------------------------------------------------------------- result
 
     def _build_result(self) -> ExecutionResult:
-        total_time = self.time
         spec = self.spec
-        if total_time <= 0:
-            total_time = _EPS
+        total_time = self.time if self.time > 0 else _EPS
         tensor_busy = self.tensor_flops_done / spec.tensor_flops
         cuda_busy = self.cuda_flops_done / spec.cuda_core_flops
         mem_busy = self.bytes_done / spec.hbm_bandwidth
-        compute_util = (tensor_busy + cuda_busy) / total_time
-        memory_util = mem_busy / total_time
         energy = (
             spec.idle_power * total_time
             + spec.compute_power * (tensor_busy + cuda_busy)
@@ -527,18 +401,16 @@ class _Execution:
             if self.active_sm_seconds > 0
             else 0.0
         )
-        avg_resident = self.resident_cta_seconds / total_time
         return ExecutionResult(
             total_time=total_time,
             kernels=kernels,
-            compute_utilization=min(1.0, compute_util),
-            memory_utilization=min(1.0, memory_util),
+            compute_utilization=busy_fraction("compute", tensor_busy + cuda_busy, total_time),
+            memory_utilization=busy_fraction("memory", mem_busy, total_time),
             flops_executed=self.tensor_flops_done + self.cuda_flops_done,
             bytes_moved=self.bytes_done,
             energy_joules=energy,
             tag_flops=dict(self.tag_flops),
             tag_bytes=dict(self.tag_bytes),
             colocation_fraction=colocation,
-            avg_resident_ctas=avg_resident,
-            cta_records=self.records,
+            avg_resident_ctas=self.resident_cta_seconds / total_time,
         )

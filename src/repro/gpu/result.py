@@ -21,24 +21,6 @@ class KernelResult:
         return self.end_time - self.start_time
 
 
-@dataclass(frozen=True)
-class CTARecord:
-    """Per-CTA trace entry: where a CTA ran, what it did and when."""
-
-    kernel: str
-    dispatch_index: int
-    sm_id: int
-    tag: str
-    start_time: float
-    end_time: float
-    flops: float
-    dram_bytes: float
-
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time
-
-
 @dataclass
 class ExecutionResult:
     """Outcome of executing a set of kernel launches on the simulated GPU.
@@ -58,7 +40,6 @@ class ExecutionResult:
     tag_bytes: dict[str, float] = field(default_factory=dict)
     colocation_fraction: float = 0.0
     avg_resident_ctas: float = 0.0
-    cta_records: list[CTARecord] = field(default_factory=list)
 
     def kernel_named(self, name: str) -> KernelResult:
         """Return the (first) kernel result with the given name."""
@@ -70,17 +51,6 @@ class ExecutionResult:
     @property
     def total_ctas(self) -> int:
         return sum(k.num_ctas for k in self.kernels)
-
-    def ctas_on_sm(self, sm_id: int) -> list[CTARecord]:
-        """All CTA records that executed on a given SM."""
-        return [record for record in self.cta_records if record.sm_id == sm_id]
-
-    def tags_per_sm(self) -> dict[int, set[str]]:
-        """Map each SM to the set of operation tags it executed."""
-        mapping: dict[int, set[str]] = {}
-        for record in self.cta_records:
-            mapping.setdefault(record.sm_id, set()).add(record.tag)
-        return mapping
 
     def summary(self) -> dict[str, float]:
         """Compact dictionary view used by benchmarks and examples."""

@@ -80,7 +80,7 @@ class AttentionBackend(ABC):
         self.params = params or AttentionCostParams()
         self.mode = mode
         self._cache: dict[tuple, AttentionEstimate] = {}
-        self._engine = ExecutionEngine(deployment.gpu, record_ctas=False)
+        self._engine = ExecutionEngine(deployment.gpu)
 
     def estimate(self, batch: HybridBatch) -> AttentionEstimate:
         """Per-layer attention estimate for ``batch`` (memoised on batch shape)."""

@@ -5,9 +5,8 @@ The paper's online evaluation uses two traces: an internal enterprise workload
 decode tokens per request) and a workload derived from arXiv-Summarization
 (mean context ≈ 9.5K tokens, P:D 0–50, mean ≈ 470 decode tokens).  Neither
 trace is publicly available in raw form, so these generators reproduce the
-published summary statistics with a seeded RNG (see DESIGN.md for the
-substitution rationale).  Offline workloads (Figure 12, Figure 15) use fixed
-token counts and are generated exactly.
+published summary statistics with a seeded RNG.  Offline workloads (Figure 12,
+Figure 15) use fixed token counts and are generated exactly.
 
 The implementations now live in :mod:`repro.workloads` (shape models, arrival
 processes, the scenario registry); this module keeps the historical public

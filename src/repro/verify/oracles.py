@@ -381,7 +381,7 @@ def analytic_vs_simulated(
     fused_tolerance: float = FUSED_TOLERANCE,
 ) -> list[str]:
     """Closed-form attention times vs the event-driven GPU simulator."""
-    engine = ExecutionEngine(deployment.gpu, record_ctas=False)
+    engine = ExecutionEngine(deployment.gpu)
     discrepancies: list[str] = []
     for index, batch in enumerate(batches):
         analytic = analytic_attention_times(deployment, batch)

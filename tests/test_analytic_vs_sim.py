@@ -22,7 +22,7 @@ VALIDATION_BATCHES = [
 
 @pytest.fixture(scope="module")
 def sim_engine(llama3_deployment):
-    return ExecutionEngine(llama3_deployment.gpu, record_ctas=False)
+    return ExecutionEngine(llama3_deployment.gpu)
 
 
 class TestAnalyticAgainstSimulator:

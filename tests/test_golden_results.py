@@ -85,7 +85,7 @@ class TestFigure6Golden:
     """Per-layer attention runtime per chunk (Yi-6B, chunk 512, ctx 16K)."""
 
     def test_matches_committed_csv(self, yi_deployment):
-        engine = ExecutionEngine(yi_deployment.gpu, record_ctas=False)
+        engine = ExecutionEngine(yi_deployment.gpu)
         recomputed = []
         for decode_batch_size, label in ((54, "w/o quantization"), (55, "w/ quantization")):
             batches = hybrid_chunk_sweep(

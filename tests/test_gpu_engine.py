@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.gpu.cta import CTAWork, DECODE_TAG, PREFILL_TAG
-from repro.gpu.engine import ExecutionEngine, water_fill
+from repro.gpu.engine import busy_fraction
 from repro.gpu.kernel import Kernel, KernelLaunch
 from repro.utils.units import KB
 
@@ -15,39 +14,6 @@ def _kernel(ctas, threads=256, smem=48 * KB, regs=128, name="k"):
     return Kernel.from_ctas(
         name, ctas, threads_per_cta=threads, shared_mem_per_cta=smem, registers_per_thread=regs
     )
-
-
-class TestWaterFill:
-    def test_no_caps_bind(self):
-        assert water_fill(9.0, [10.0, 10.0, 10.0]) == pytest.approx([3.0, 3.0, 3.0])
-
-    def test_cap_binds_and_redistributes(self):
-        alloc = water_fill(10.0, [2.0, 10.0])
-        assert alloc[0] == pytest.approx(2.0)
-        assert alloc[1] == pytest.approx(8.0)
-
-    def test_empty(self):
-        assert water_fill(10.0, []) == []
-
-    def test_zero_caps(self):
-        assert water_fill(10.0, [0.0, 0.0]) == [0.0, 0.0]
-
-    @given(
-        st.floats(min_value=0.1, max_value=1e3),
-        st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=12),
-    )
-    def test_allocation_invariants(self, capacity, caps):
-        alloc = water_fill(capacity, caps)
-        assert len(alloc) == len(caps)
-        # Never exceed individual caps nor the total capacity.
-        for a, cap in zip(alloc, caps):
-            assert a <= cap + 1e-9
-        assert sum(alloc) <= capacity + 1e-6
-        # Work-conserving: either capacity exhausted or every consumer capped.
-        if sum(caps) >= capacity:
-            assert sum(alloc) == pytest.approx(capacity, rel=1e-6)
-        else:
-            assert sum(alloc) == pytest.approx(sum(caps), rel=1e-6)
 
 
 class TestSingleCTATiming:
@@ -215,19 +181,56 @@ class TestBinderKernels:
         assert sorted(d for _, d in seen) == list(range(50))
         assert all(0 <= sm < a100.num_sms for sm, _ in seen)
 
+    def test_breadth_first_fills_every_sm_before_doubling_up(self, a100, engine):
+        # Every CTA of the first wave goes to the least-loaded SM, ties to the
+        # lowest index: CTA i lands on SM i, then the next round starts at SM 0.
+        seen = []
+
+        def binder(sm_id, dispatch_index):
+            seen.append(sm_id)
+            return CTAWork(flops=1e6, dram_bytes=1e3)
+
+        num_ctas = 2 * a100.num_sms + 5
+        kernel = Kernel.with_binder(
+            "b", num_ctas, binder, threads_per_cta=128, shared_mem_per_cta=1 * KB
+        )
+        engine.run_kernel(kernel)
+        expected = [i % a100.num_sms for i in range(num_ctas)]
+        assert seen == expected
+
+    def test_full_sms_are_skipped(self, a100, engine):
+        # The hog's CTAs take every SM's registers but the last SM's, so all
+        # three CTAs of the light kernel (another stream) must land there.
+        seen = []
+
+        def binder(sm_id, dispatch_index):
+            seen.append(sm_id)
+            return CTAWork(flops=1e6, dram_bytes=0.0)
+
+        hog = _kernel([CTAWork(flops=1e9, dram_bytes=0.0)] * (a100.num_sms - 1), regs=255)
+        light = Kernel.with_binder(
+            "light", 3, binder, threads_per_cta=256, shared_mem_per_cta=0, registers_per_thread=64
+        )
+        engine.run([KernelLaunch(hog, 0), KernelLaunch(light, 1)])
+        assert seen == [a100.num_sms - 1] * 3
+
 
 class TestResultRecords:
-    def test_cta_records_complete(self, a100, engine):
+    def test_total_ctas_counts_every_launch(self, a100, engine):
         ctas = [CTAWork(flops=1e8, dram_bytes=1e4, tag=PREFILL_TAG)] * 10
-        result = engine.run_kernel(_kernel(ctas))
-        assert len(result.cta_records) == 10
-        assert all(record.end_time >= record.start_time for record in result.cta_records)
+        launches = [KernelLaunch(_kernel(ctas[:6]), 0), KernelLaunch(_kernel(ctas[:4]), 1)]
+        result = engine.run(launches)
         assert result.total_ctas == 10
+        assert all(kernel.end_time >= kernel.start_time for kernel in result.kernels)
 
-    def test_record_ctas_can_be_disabled(self, a100):
-        engine = ExecutionEngine(a100, record_ctas=False)
-        result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)] * 4))
-        assert result.cta_records == []
+    def test_consecutive_runs_on_one_engine_are_identical(self, a100, engine):
+        compute = [CTAWork(flops=a100.tensor_flops_per_sm * 1e-4, dram_bytes=0.0, tag=PREFILL_TAG)]
+        memory = [CTAWork(flops=0.0, dram_bytes=a100.sm_mem_bandwidth * 1e-4, tag=DECODE_TAG)]
+        launches = [
+            KernelLaunch(_kernel(compute * 150, regs=64, name="c"), 0),
+            KernelLaunch(_kernel(memory * 250, regs=64, smem=8 * KB, name="m"), 1),
+        ]
+        assert engine.run(launches) == engine.run(launches)
 
     def test_kernel_named_lookup(self, a100, engine):
         result = engine.run_kernel(_kernel([CTAWork(flops=1e8, dram_bytes=0.0)], name="abc"))
@@ -240,6 +243,16 @@ class TestResultRecords:
         assert {"total_time_ms", "compute_utilization", "memory_utilization"} <= set(
             result.summary()
         )
+
+
+class TestBusyFraction:
+    def test_fraction_of_the_makespan(self):
+        assert busy_fraction("memory", 0.25, 1.0) == 0.25
+
+    def test_busy_longer_than_the_makespan_raises(self):
+        message = r"memory busy time 1\.5 s exceeds the makespan 1\.0 s"
+        with pytest.raises(RuntimeError, match=message):
+            busy_fraction("memory", 1.5, 1.0)
 
 
 class TestEngineValidation:
@@ -256,20 +269,3 @@ class TestEngineValidation:
         )
         with pytest.raises(ValueError):
             engine.run_kernel(huge)
-
-    def test_unknown_placement_rejected(self, a100):
-        with pytest.raises(ValueError):
-            ExecutionEngine(a100, placement="random")
-
-    @pytest.mark.parametrize("placement", ["breadth_first", "lowest_index", "round_robin"])
-    def test_placement_policies_run(self, a100, placement):
-        engine = ExecutionEngine(a100, placement=placement)
-        ctas = [CTAWork(flops=1e8, dram_bytes=1e4)] * 20
-        result = engine.run_kernel(_kernel(ctas))
-        assert result.total_time > 0
-
-    def test_lowest_index_packs_low_sms(self, a100):
-        engine = ExecutionEngine(a100, placement="lowest_index")
-        ctas = [CTAWork(flops=1e8, dram_bytes=0.0)] * 4
-        result = engine.run_kernel(_kernel(ctas, smem=8 * KB, regs=32))
-        assert {record.sm_id for record in result.cta_records} == {0}

@@ -7,7 +7,7 @@ Three gates ride the regular test suite so a contract regression fails
   baseline must report **zero new findings** (the committed baseline is
   empty: everything is fixed or suppressed inline with a reason);
 * ``mypy`` over the strict islands (``repro.verify``, ``repro.obs``,
-  ``repro.cluster.control``) — skipped when mypy is not installed locally
+  ``repro.cluster.control``, ``repro.gpu.engine``, ``repro.gpu.result``) — skipped when mypy is not installed locally
   (it is CI-only, see ``requirements-ci.txt``);
 * the ``EVENT_SCHEMAS`` declaration tables and the runtime
   ``strict_payloads`` validator must agree with each other.
