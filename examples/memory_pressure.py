@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.pressure_rows import fig19_cluster_row, memory_pressure_simulator
+from repro.bench.experiments import fig19_cluster_row, memory_pressure_simulator
 from repro.models.config import paper_deployment
 from repro.serving.metrics import compute_memory_pressure
 from repro.workloads.scenario import run_scenario

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.pressure_rows import memory_pressure_simulator
+from repro.bench.experiments import memory_pressure_simulator
 from repro.models.config import paper_deployment
 from repro.obs import Telemetry, generate_report
 from repro.workloads.scenario import run_scenario

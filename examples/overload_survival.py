@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench.control_rows import FIG20_POLICIES, fig20_row
+from repro.bench.experiments import FIG20_POLICIES, fig20_row
 from repro.models import paper_deployment
 
 

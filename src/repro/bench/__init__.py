@@ -1,4 +1,8 @@
-"""Benchmark harness helpers: sweeps and result-table reporting."""
+"""Benchmark harness: sweeps, result-table reporting and the perf gate.
+
+The experiment registry (``repro.bench.experiments``) is imported on its own:
+it pulls in every serving and cluster layer, so this package stays light.
+"""
 
 from repro.bench.reporting import ResultTable, default_results_dir
 from repro.bench.sweeps import (
@@ -6,7 +10,6 @@ from repro.bench.sweeps import (
     cluster_scaling_grid,
     figure11_sweep,
     figure13_grid,
-    scenario_cluster_grid,
 )
 
 __all__ = [
@@ -16,5 +19,4 @@ __all__ = [
     "cluster_scaling_grid",
     "figure11_sweep",
     "figure13_grid",
-    "scenario_cluster_grid",
 ]

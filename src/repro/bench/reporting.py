@@ -1,8 +1,9 @@
 """Result-table formatting for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures; these
-helpers print the rows/series in a consistent, paper-style layout and can
-persist them as CSV files under ``results/``.
+Every experiment in ``repro.bench.experiments`` regenerates one of the
+paper's tables or figures; these helpers print its rows in a consistent,
+paper-style layout and persist them as CSV (and JSON) files under
+``results/``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Sweep generators shared by benchmarks (notably the Figure 11 batch sweep
-and the cluster-scaling grid)."""
+"""Sweep generators for the experiment registry (notably the Figure 11 batch
+sweep and the cluster-scaling grids)."""
 
 from __future__ import annotations
 
@@ -73,67 +73,6 @@ def cluster_scaling_grid(
     return [
         ClusterSweepPoint(num_replicas=size, router=router, topology=topology, **common)
         for topology, router, size in product(topologies, routers, cluster_sizes)
-    ]
-
-
-def fleet_scaling_grid(
-    cluster_sizes: tuple[int, ...] = (8, 16, 32),
-    routers: tuple[str, ...] = ("least-tokens", "prefill-aware"),
-    topologies: tuple[str, ...] = ("colocated", "disaggregated"),
-    **common,
-) -> list[ClusterSweepPoint]:
-    """The Figure 18 fleet-scaling grid: large iso-load clusters under the
-    load-aware routers (the policies that exercise the incremental load
-    counters on every arrival).
-
-    Defaults mirror the fig16 study (arXiv trace at 0.85 QPS per replica) at
-    fleet sizes the pre-refactor quadratic event loop could not sweep; the
-    nightly job extends ``cluster_sizes`` to 64.
-    """
-    defaults: dict = dict(
-        workload="arxiv",
-        qps_per_replica=0.85,
-        requests_per_replica=16,
-        chunk_size=1024,
-        seed=17,
-    )
-    defaults.update(common)
-    return cluster_scaling_grid(
-        cluster_sizes=cluster_sizes, routers=routers, topologies=topologies, **defaults
-    )
-
-
-def scenario_cluster_grid(
-    scenarios: tuple[str, ...],
-    num_replicas: int = 4,
-    router: str = "least-tokens",
-    topology: str = "colocated",
-    requests_per_replica: int = 16,
-    seed: int = 0,
-    **common,
-) -> list[ClusterSweepPoint]:
-    """One cluster sweep point per named workload scenario (Figure 17).
-
-    Each scenario keeps its registry arrival process and default per-replica
-    load (``ClusterSweepPoint.qps_per_replica`` defaults to the scenario's
-    own QPS), so the grid exercises the scenario engine end-to-end through
-    the process-parallel sweep runner.
-    """
-    from repro.workloads.scenario import get_scenario
-
-    qps_override = common.pop("qps_per_replica", None)
-    return [
-        ClusterSweepPoint(
-            num_replicas=num_replicas,
-            router=router,
-            topology=topology,
-            workload=name,
-            qps_per_replica=qps_override or get_scenario(name).qps,
-            requests_per_replica=requests_per_replica,
-            seed=seed,
-            **common,
-        )
-        for name in scenarios
     ]
 
 

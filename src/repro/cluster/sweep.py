@@ -114,30 +114,18 @@ def run_cluster_sweep(
     points: Sequence[ClusterSweepPoint],
     max_workers: int | None = None,
     parallel: bool = True,
-    host_profiler=None,
 ) -> list[dict[str, Any]]:
     """Run every grid point, fanning across processes when ``parallel``.
 
     Results come back in input order regardless of completion order.  Serial
     execution is used automatically for trivial grids or ``max_workers=1``.
-
-    ``host_profiler`` (a :class:`repro.obs.profiling.HostProfiler`) is
-    started/stopped around the whole sweep when given, so benchmark harnesses
-    can record the sweep's wall/CPU/peak-RSS cost; worker-process RSS is
-    outside ``RUSAGE_SELF``, so parallel sweeps report the parent only.
     """
     points = list(points)
     if not points:
         return []
-    if host_profiler is not None:
-        host_profiler.start()
-    try:
-        if not parallel or max_workers == 1 or len(points) == 1:
-            return [run_sweep_point(point) for point in points]
-        if max_workers is None:
-            max_workers = min(len(points), os.cpu_count() or 2)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_sweep_point, points))
-    finally:
-        if host_profiler is not None:
-            host_profiler.stop()
+    if not parallel or max_workers == 1 or len(points) == 1:
+        return [run_sweep_point(point) for point in points]
+    if max_workers is None:
+        max_workers = min(len(points), os.cpu_count() or 2)
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(run_sweep_point, points))

@@ -7,6 +7,11 @@ compute footprint over time (the ``host_profile`` block in
 ``resource.getrusage`` (``ru_maxrss`` is kilobytes on Linux, bytes on
 macOS), not psutil.
 
+CPU time counts the section's worker processes too: ``cpu_s`` adds the CPU
+time of child processes reaped during the section (``RUSAGE_CHILDREN``), so a
+process-pool sweep reports what its workers burned once the pool has shut
+down.
+
 Peak RSS is a per-process high-water mark, so concurrent profilers observe
 the same peak; ``rss_delta_mb`` (peak minus the value at ``start``) is the
 section-attributable figure.
@@ -18,6 +23,12 @@ import platform
 import resource
 import time
 from typing import Any
+
+
+def _children_cpu_s() -> float:
+    """User + system CPU time of every reaped child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def peak_rss_mb() -> float:
@@ -46,11 +57,13 @@ class HostProfiler:
         self.rss_delta_mb = 0.0
         self._wall_start: float | None = None
         self._cpu_start = 0.0
+        self._children_cpu_start = 0.0
         self._rss_start = 0.0
 
     def start(self) -> "HostProfiler":
         self._wall_start = time.perf_counter()
         self._cpu_start = time.process_time()
+        self._children_cpu_start = _children_cpu_s()
         self._rss_start = peak_rss_mb()
         return self
 
@@ -58,7 +71,9 @@ class HostProfiler:
         if self._wall_start is None:
             raise RuntimeError(f"HostProfiler {self.name!r} stopped before start")
         self.wall_s = time.perf_counter() - self._wall_start
-        self.cpu_s = time.process_time() - self._cpu_start
+        self.cpu_s = (
+            time.process_time() - self._cpu_start + _children_cpu_s() - self._children_cpu_start
+        )
         self.peak_rss_mb = peak_rss_mb()
         self.rss_delta_mb = max(self.peak_rss_mb - self._rss_start, 0.0)
         self._wall_start = None

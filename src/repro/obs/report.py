@@ -289,7 +289,7 @@ def scenario_telemetry(
     single-replica runs use the Sarathi+POD memory-pressure stack (prefix
     caching on); ``replicas > 1`` runs a colocated cluster under ``router``.
     """
-    from repro.bench.pressure_rows import FIG19_CHUNK_SIZE
+    from repro.bench.experiments import FIG19_CHUNK_SIZE
     from repro.models.config import paper_deployment
     from repro.serving.kv_cache import KVCacheConfig
     from repro.workloads.scenario import run_scenario

@@ -493,7 +493,7 @@ class TestFig20Rows:
     full sweep; these keep the schema and policy mapping honest in tier-1)."""
 
     def test_policy_mapping(self):
-        from repro.bench.control_rows import fig20_control
+        from repro.bench.experiments import fig20_control
 
         assert fig20_control("static") is None
         autoscale = fig20_control("autoscale")
@@ -506,7 +506,7 @@ class TestFig20Rows:
             fig20_control("chaos")
 
     def test_trace_is_deterministic_and_tiered(self):
-        from repro.bench.control_rows import fig20_trace
+        from repro.bench.experiments import fig20_trace
 
         first, second = fig20_trace(3.0), fig20_trace(3.0)
         assert [r.arrival_time for r in first] == [r.arrival_time for r in second]
@@ -517,7 +517,7 @@ class TestFig20Rows:
         )
 
     def test_row_schema_and_conservation(self, llama3_deployment):
-        from repro.bench.control_rows import fig20_row
+        from repro.bench.experiments import fig20_row
 
         row = fig20_row(llama3_deployment, 3.0, "shed", num_requests=32)
         assert row["finished"] + row["rejected"] == row["offered"] == 32

@@ -13,9 +13,12 @@ Three contracts:
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
-from repro.bench.pressure_rows import memory_pressure_simulator
+from repro.bench.experiments import memory_pressure_simulator
 from repro.models.config import paper_deployment
 from repro.obs.profiling import HostProfiler, peak_rss_mb
 from repro.obs.telemetry import Telemetry
@@ -71,6 +74,14 @@ class TestObserverOnly:
         assert teed.events == alone.events
 
 
+def _burn_cpu(seconds: float) -> float:
+    """Spin for ``seconds`` of this process's CPU time; returns the time spent."""
+    start = time.process_time()
+    while time.process_time() - start < seconds:
+        pass
+    return time.process_time() - start
+
+
 class TestHostProfiler:
     def test_context_manager_measures(self):
         with HostProfiler("work") as profiler:
@@ -88,6 +99,16 @@ class TestHostProfiler:
         assert profiler.wall_s >= 0
         with pytest.raises(RuntimeError, match="before start"):
             HostProfiler("y").stop()
+
+    def test_cpu_counts_reaped_worker_processes(self):
+        with HostProfiler("pool") as profiler:
+            parent_start = time.process_time()
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                burned = pool.submit(_burn_cpu, 0.3).result()
+            parent_cpu = time.process_time() - parent_start
+        # The parent only waits; the section's CPU is the worker's.
+        assert parent_cpu < burned
+        assert profiler.cpu_s >= burned
 
     def test_peak_rss_is_plausible(self):
         mb = peak_rss_mb()

@@ -14,7 +14,7 @@ import csv
 
 import pytest
 
-from repro.bench.pressure_rows import (
+from repro.bench.experiments import (
     FIG19_CAPACITIES,
     FIG19_SEED,
     memory_pressure_simulator,

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.bench.pressure_rows import memory_pressure_simulator
+from repro.bench.experiments import memory_pressure_simulator
 from repro.cluster.simulator import ClusterSimulator
 from repro.cluster.topology import ColocatedTopology
 from repro.models.config import paper_deployment
