@@ -1,153 +1,13 @@
-"""Figure 19 (beyond the paper): serving under KV memory pressure.
+"""Figure 19: the memory-pressure rows are a pure function of their point.
 
-Sweeps KV-cache capacity x prefix caching on/off x preemption on/off on the
-shared-prefix scenarios (``shared-prefix-chat``: chat behind 4 hot system
-prompts; ``rag-corpus``: RAG over 8 hot documents), single replica, plus a
-4-replica cluster comparison of prefix-affinity routing against the
-prefix-oblivious policies.  Rows are persisted as CSV and JSON under
-``results/`` and gated by ``repro.bench.regression`` like every artifact.
-
-The sweep pins the two headline claims of the memory-pressure subsystem:
-
-* Prefix caching materially cuts TTFT (and lifts throughput) at constrained
-  KV capacity on shared-prefix workloads — the cache turns most of each
-  prompt into a block-table update.
-* Preemption-with-recompute keeps the engine serving where full-reservation
-  admission would stall behind memory: every configuration drains the whole
-  trace, preemptions do occur at tight capacity, and throughput is sustained
-  (never materially below the stalling baseline).
+The table itself is built and checked by ``test_experiments.py``; this pins
+the perf-gate contract that a re-run of one point gives byte-identical rows.
 """
 
-from __future__ import annotations
-
-import json
-
-from conftest import run_once
-
-from repro.bench.pressure_rows import (
-    FIG19_CAPACITIES,
-    FIG19_CLUSTER_ROUTERS,
-    fig19_cluster_row,
-    fig19_single_row,
-)
-from repro.bench.reporting import default_results_dir
-
-MODES = ((False, False), (False, True), (True, False), (True, True))
+from repro.bench.experiments import FIG19, FIG19_CAPACITIES
 
 
-def test_figure19(benchmark, llama3_deployment, report):
-    table, finish = report(
-        "Figure 19: KV memory pressure — capacity x prefix caching x preemption",
-        "fig19_memory_pressure.csv",
-    )
-
-    def run() -> None:
-        for scenario, capacities in FIG19_CAPACITIES.items():
-            for capacity in capacities:
-                for prefix_caching, preemption in MODES:
-                    table.add_row(
-                        fig19_single_row(
-                            llama3_deployment,
-                            scenario,
-                            capacity,
-                            prefix_caching,
-                            preemption,
-                        )
-                    )
-        for router in FIG19_CLUSTER_ROUTERS:
-            table.add_row(
-                fig19_cluster_row(llama3_deployment, "shared-prefix-chat", router)
-            )
-
-    run_once(benchmark, run)
-    result = finish()
-    result.save_json(default_results_dir() / "fig19_memory_pressure.json")
-
-    expected = sum(len(c) for c in FIG19_CAPACITIES.values()) * len(MODES) + len(
-        FIG19_CLUSTER_ROUTERS
-    )
-    assert len(result.rows) == expected
-
-    def single(scenario, capacity, caching, preemption):
-        key = ("on" if caching else "off", "on" if preemption else "off")
-        for row in result.rows:
-            if (
-                row["scenario"] == scenario
-                and row["mode"] == "single"
-                and row["capacity_tokens"] == capacity
-                and (row["prefix_caching"], row["preemption"]) == key
-            ):
-                return row
-        raise AssertionError(f"missing row {scenario}/{capacity}/{key}")
-
-    # Every configuration drains the full trace: no deadlock at any capacity,
-    # with or without the memory-pressure machinery.
-    assert all(row["requests"] > 0 and row["req_per_min"] > 0 for row in result.rows)
-
-    # Prefix caching materially cuts TTFT at constrained capacity...
-    tight, constrained, _ample = FIG19_CAPACITIES["shared-prefix-chat"]
-    off = single("shared-prefix-chat", constrained, False, False)
-    on = single("shared-prefix-chat", constrained, True, False)
-    assert on["ttft_p50_s"] < 0.25 * off["ttft_p50_s"]
-    assert on["prefix_hit_rate"] > 0.5
-    # ...and lifts throughput where capacity is the bottleneck.
-    assert (
-        single("shared-prefix-chat", tight, True, False)["req_per_min"]
-        > 1.4 * single("shared-prefix-chat", tight, False, False)["req_per_min"]
-    )
-
-    # Preemption sustains throughput at tight capacity (recompute is paid,
-    # but admission keeps flowing: never materially below the baseline) and
-    # actually engages somewhere in the sweep.
-    baseline = single("shared-prefix-chat", tight, False, False)
-    preempting = single("shared-prefix-chat", tight, False, True)
-    assert preempting["req_per_min"] >= 0.9 * baseline["req_per_min"]
-    assert preempting["ttft_p99_s"] <= baseline["ttft_p99_s"]
-    assert any(row["preemptions"] > 0 for row in result.rows)
-
-    # The prefix cache only ever helps the caching-off baseline's metrics
-    # when actually enabled; off rows must report zero reuse.
-    for row in result.rows:
-        if row["prefix_caching"] == "off":
-            assert row["prefix_hit_rate"] == 0.0
-            assert row["prefix_tokens_reused"] == 0
-
-    # rag-corpus: hit rate grows with capacity (less eviction churn), and the
-    # constrained points do churn the LRU.
-    rag_caps = FIG19_CAPACITIES["rag-corpus"]
-    rates = [single("rag-corpus", cap, True, False)["prefix_hit_rate"] for cap in rag_caps]
-    assert rates[0] < rates[1] < rates[2]
-    assert single("rag-corpus", rag_caps[0], True, False)["kv_evictions"] > 0
-
-    # Cluster: prefix-affinity routing beats the prefix-oblivious policies on
-    # fleet-wide cache hit rate.
-    by_router = {
-        row["router"]: row for row in result.rows if row["mode"].startswith("cluster")
-    }
-    affinity = by_router["prefix-affinity"]
-    for other in ("round-robin", "least-tokens"):
-        assert affinity["prefix_hit_rate"] > by_router[other]["prefix_hit_rate"]
-
-
-def test_figure19_json_artifact():
-    """The JSON artifact mirrors the CSV rows (written by test_figure19)."""
-    path = default_results_dir() / "fig19_memory_pressure.json"
-    assert path.exists(), "run test_figure19 first (pytest runs files in order)"
-    payload = json.loads(path.read_text())
-    assert payload["rows"], "fig19 JSON artifact has no rows"
-    assert {
-        "scenario",
-        "capacity_tokens",
-        "prefix_caching",
-        "preemption",
-        "prefix_hit_rate",
-        "preemptions",
-    } <= set(payload["columns"])
-
-
-def test_figure19_rows_are_deterministic(llama3_deployment):
+def test_figure19_rows_are_deterministic():
     """Same scenario + seed => byte-identical rows (the perf-gate contract)."""
-    capacity = FIG19_CAPACITIES["shared-prefix-chat"][1]
-    first = fig19_single_row(llama3_deployment, "shared-prefix-chat", capacity, True, True)
-    second = fig19_single_row(llama3_deployment, "shared-prefix-chat", capacity, True, True)
-    assert first == second
+    point = ("shared-prefix-chat", FIG19_CAPACITIES["shared-prefix-chat"][1], True, True)
+    assert FIG19.rows(point) == FIG19.rows(point)

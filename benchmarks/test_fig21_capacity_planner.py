@@ -1,130 +1,11 @@
-"""Figure 21 (beyond the paper): capacity planning under serving economics.
+"""Figure 21: the capacity plan is a pure function of its config.
 
-Runs the :mod:`repro.planner` optimizer over a fleet-design grid — fleet
-size x topology x router x hardware mix (on-demand A100s, spot A6000s, and a
-half-and-half heterogeneous fleet) — on the ``shared-prefix-chat`` scenario
-and commits every candidate's performance *and* dollar figures.  The planner
-marks each candidate feasible or infeasible against interactive SLO targets
-(TTFT / TBT p99) and picks the cheapest feasible fleet.
-
-The figure pins the economics story end-to-end:
-
-* Slower spot hardware is cheaper per hour but not automatically cheaper per
-  token — the planner surfaces the crossover instead of assuming it.
-* Heterogeneous fleets are first-class: mixed rows go through the same
-  ``ClusterSpec`` / topology / routing path as homogeneous ones.
-* The pick is reproducible: same config, same seed => byte-identical rows
-  and the same winning fleet (the perf gate diffs the committed CSV).
+The table itself is built and checked by ``test_experiments.py``; this pins
+the perf-gate contract that re-planning gives the same rows and winner.
 """
 
-from __future__ import annotations
-
-import json
-
-from conftest import run_once
-
-from repro.bench.reporting import default_results_dir
-from repro.planner import PlannerConfig, capacity_plan
-
-FIG21_CONFIG = PlannerConfig(
-    scenario="shared-prefix-chat",
-    num_requests=40,
-    seed=21,
-    replica_counts=(2, 4),
-    topologies=("colocated", "disaggregated"),
-    prefill_fractions=(0.5,),
-    chunk_sizes=(1024,),
-    routers=("least-tokens", "cost-aware"),
-    replica_mixes=("a100", "a6000~", "a100:1+a6000:1~"),
-    ttft_p99_target_s=0.5,
-    tbt_p99_target_s=0.05,
-)
-
-
-def test_figure21(benchmark, report):
-    table, finish = report(
-        "Figure 21: capacity planner — fleet mix x topology x router vs SLO cost",
-        "fig21_capacity_planner.csv",
-    )
-    plans: list = []
-
-    def run() -> None:
-        result = capacity_plan(FIG21_CONFIG)
-        plans.append(result)
-        best = result.best
-        for candidate in result.candidates:
-            row = candidate.row()
-            row["best"] = int(candidate is best)
-            table.add_row(row)
-
-    run_once(benchmark, run)
-    result = finish()
-    result.save_json(default_results_dir() / "fig21_capacity_planner.json")
-
-    plan = plans[0]
-    # Grid accounting: 2 fleet sizes x (colocated + one disagg split) x
-    # 2 routers x 3 mixes.
-    assert len(plan.candidates) == 2 * 2 * 2 * 3
-    assert len(result.rows) == len(plan.candidates)
-
-    # The optimizer found a feasible fleet and it is the cheapest feasible row.
-    best = plan.best
-    assert best is not None and best.feasible
-    feasible_rows = [row for row in result.rows if row["feasible"]]
-    assert feasible_rows, "no candidate meets the fig21 SLO targets"
-    assert min(row["cost_usd"] for row in feasible_rows) == round(
-        best.metrics.cost_usd, 6
-    )
-    assert sum(row["best"] for row in result.rows) == 1
-
-    def rows_for(mix, topology="colocated", router="least-tokens", replicas=2):
-        return [
-            row
-            for row in result.rows
-            if row["mix"] == mix
-            and row["topology"] == topology
-            and row["router"] == router
-            and row["replicas"] == replicas
-        ]
-
-    # Economics ordering: spot A6000 fleets undercut on-demand A100 fleets per
-    # hour, with the mixed fleet strictly between; the A100 fleet is the
-    # latency winner (faster silicon).
-    (a100,), (a6000,), (mixed,) = (
-        rows_for("a100"),
-        rows_for("a6000~"),
-        rows_for("a100:1+a6000:1~"),
-    )
-    assert a6000["fleet_usd_per_hour"] < mixed["fleet_usd_per_hour"] < a100["fleet_usd_per_hour"]
-    assert a100["ttft_p99_s"] <= a6000["ttft_p99_s"]
-    assert a100["latency_p99_s"] <= a6000["latency_p99_s"]
-
-    # Every row carries non-degenerate dollar accounting.
-    for row in result.rows:
-        assert row["cost_usd"] > 0
-        assert row["usd_per_1k_tokens"] > 0
-        assert row["fleet_usd_per_hour"] > 0
-        # Infeasible rows say why; feasible rows carry no violations.
-        assert bool(row["violations"]) == (not row["feasible"])
-
-
-def test_figure21_json_artifact():
-    """The JSON artifact mirrors the CSV rows (written by test_figure21)."""
-    path = default_results_dir() / "fig21_capacity_planner.json"
-    assert path.exists(), "run test_figure21 first (pytest runs files in order)"
-    payload = json.loads(path.read_text())
-    assert payload["rows"], "fig21 JSON artifact has no rows"
-    assert {
-        "mix",
-        "replicas",
-        "topology",
-        "router",
-        "feasible",
-        "cost_usd",
-        "usd_per_1k_tokens",
-        "fleet_usd_per_hour",
-        "best",
-    } <= set(payload["columns"])
+from repro.bench.experiments import FIG21_CONFIG
+from repro.planner import capacity_plan
 
 
 def test_figure21_plan_is_deterministic():

